@@ -1,12 +1,13 @@
 """Shared experiment infrastructure.
 
 :class:`ExperimentContext` owns everything an experiment needs — traces
-(disk-cached), the machine model, per-trace memory-penalty arrays, and the
-baseline (BTB-only) prediction/timing results that every "reduction in
-execution time" cell is measured against.  Every prediction run goes
-through :mod:`repro.runner`: results are memoised in-process per
+(disk-cached), the machine model, and the baseline (BTB-only) prediction
+and timing results that every "reduction in execution time" cell is
+measured against.  Every prediction and timing run goes through
+:mod:`repro.runner`: results are memoised in-process per
 ``(benchmark, config)``, persisted in the on-disk result cache, and — via
-:meth:`ExperimentContext.predictions` — fanned out over a process pool
+:meth:`ExperimentContext.predictions` and
+:meth:`ExperimentContext.cycle_counts` — fanned out over a process pool
 when ``jobs > 1``.  Experiments prefetch their whole cell list up front so
 the sweep parallelises, then read individual cells from the memo.
 """
@@ -16,21 +17,20 @@ from __future__ import annotations
 import importlib
 import os
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-import numpy.typing as npt
 
 from repro.obs import get_sink
-from repro.pipeline import MachineConfig, memory_penalties, run_timing
+from repro.pipeline import MachineConfig
 from repro.predictors import EngineConfig, PredictionStats
 from repro.runner import (
     BACKENDS,
     ResultCache,
     SweepCell,
+    TimedStats,
     default_jobs,
     run_cells,
-    timing_key,
 )
 from repro.trace.trace import Trace
 from repro.workloads import get_trace
@@ -153,7 +153,6 @@ class ExperimentContext:
         self.jobs = default_jobs() if jobs is None else max(1, jobs)
         self._result_cache = ResultCache.from_env() if use_result_cache else None
         self._traces: Dict[str, Trace] = {}
-        self._penalties: Dict[str, "npt.NDArray[Any]"] = {}
         self._predictions: Dict[Tuple[str, EngineConfig], PredictionStats] = {}
         self._cycles: Dict[Tuple[str, EngineConfig], int] = {}
 
@@ -166,103 +165,79 @@ class ExperimentContext:
             )
         return self._traces[benchmark]
 
-    def penalty(self, benchmark: str) -> "npt.NDArray[Any]":
-        if benchmark not in self._penalties:
-            self._penalties[benchmark] = memory_penalties(
-                self.trace(benchmark), self.machine
+    def _run(self, cells: List[SweepCell]) -> List[PredictionStats]:
+        with get_sink().span("predictions", cells=len(cells),
+                             jobs=self.jobs):
+            return run_cells(
+                cells, jobs=self.jobs,
+                trace_length=self.trace_length, seed=self.seed,
+                use_trace_cache=self.use_trace_cache,
+                result_cache=self._result_cache,
+                trace_provider=self.trace,
+                backend=self.backend,
             )
-        return self._penalties[benchmark]
 
     # ------------------------------------------------------------------
-    def predictions(self, cells: Sequence[Tuple[str, EngineConfig]],
-                    collect_mask: bool = False) -> List[PredictionStats]:
+    def predictions(self, cells: Sequence[Tuple[str, EngineConfig]]
+                    ) -> List[PredictionStats]:
         """Batch prediction API: the sweep fast path.
 
         Returns one :class:`PredictionStats` per ``(benchmark, config)``
-        cell, in order.  Cells already memoised (with a mask, if
-        ``collect_mask``) are free; the rest go through
+        cell, in order.  Memoised cells are free; the rest go through
         :func:`repro.runner.run_cells` — persistent result cache first,
         then ``self.jobs`` worker processes.  Experiments call this once
         with every cell they will need, then read single cells through
         :meth:`prediction`, which hits the memo.
         """
         missing = [
-            (benchmark, config) for benchmark, config in dict.fromkeys(cells)
-            if not self._memoised(benchmark, config, collect_mask)
+            cell for cell in dict.fromkeys(cells)
+            if cell not in self._predictions
         ]
         if missing:
-            sweep = [
-                SweepCell(benchmark, config, collect_mask=collect_mask)
-                for benchmark, config in missing
-            ]
-            with get_sink().span("predictions", cells=len(sweep),
-                                 jobs=self.jobs):
-                computed = run_cells(
-                    sweep, jobs=self.jobs,
-                    trace_length=self.trace_length, seed=self.seed,
-                    use_trace_cache=self.use_trace_cache,
-                    result_cache=self._result_cache,
-                    trace_provider=self.trace,
-                    backend=self.backend,
-                )
-            for (benchmark, config), stats in zip(missing, computed):
-                self._predictions[(benchmark, config)] = stats
+            computed = self._run([SweepCell(*cell) for cell in missing])
+            self._predictions.update(zip(missing, computed))
         return [self._predictions[cell] for cell in cells]
 
-    def _memoised(self, benchmark: str, config: EngineConfig,
-                  collect_mask: bool) -> bool:
-        stats = self._predictions.get((benchmark, config))
-        if stats is None:
-            return False
-        return not collect_mask or stats.mispredict_mask is not None
-
-    def prediction(self, benchmark: str, config: EngineConfig,
-                   collect_mask: bool = False) -> PredictionStats:
-        """Fetch-engine simulation, memoised per ``(benchmark, config)``.
-
-        A memo entry carrying the mispredict mask satisfies maskless
-        requests too, so baseline-equal cells across tables simulate once.
-        """
-        return self.predictions([(benchmark, config)],
-                                collect_mask=collect_mask)[0]
+    def prediction(self, benchmark: str,
+                   config: EngineConfig) -> PredictionStats:
+        """Fetch-engine simulation, memoised per ``(benchmark, config)``."""
+        return self.predictions([(benchmark, config)])[0]
 
     def baseline(self, benchmark: str) -> PredictionStats:
-        """BTB-only prediction stats with the mispredict mask, memoised."""
-        return self.prediction(benchmark, EngineConfig(), collect_mask=True)
+        """BTB-only prediction stats, memoised."""
+        return self.prediction(benchmark, EngineConfig())
+
+    def cycle_counts(self, cells: Sequence[Tuple[str, EngineConfig]]
+                     ) -> List[int]:
+        """Batch timing API: execution cycles of ``self.machine`` per cell.
+
+        The cells run through :func:`repro.runner.run_cells` with the
+        machine, so each is timed in the process that simulates it and
+        its cycles persist under a :func:`~repro.runner.timing_key` — a
+        warm re-run skips the timing model as well as the simulations.
+        The stats that come back fill the prediction memo too.
+        """
+        missing = [
+            cell for cell in dict.fromkeys(cells) if cell not in self._cycles
+        ]
+        if missing:
+            computed = self._run([
+                SweepCell(benchmark, config, self.machine)
+                for benchmark, config in missing
+            ])
+            for cell, stats in zip(missing, computed):
+                assert isinstance(stats, TimedStats)
+                self._cycles[cell] = stats.cycles
+                self._predictions.setdefault(cell, stats)
+        return [self._cycles[cell] for cell in cells]
+
+    def cycles(self, benchmark: str, config: EngineConfig) -> int:
+        """Execution cycles of the machine with this predictor config."""
+        return self.cycle_counts([(benchmark, config)])[0]
 
     def baseline_cycles(self, benchmark: str) -> int:
         """Cycles of the BTB-only base machine (the paper's reference)."""
         return self.cycles(benchmark, EngineConfig())
-
-    def cycles(self, benchmark: str, config: EngineConfig) -> int:
-        """Execution cycles of the machine with this predictor config.
-
-        Memoised in-process and, when the result cache is on, persisted
-        under a :func:`~repro.runner.timing_key` — so a warm re-run skips
-        the timing model as well as the simulations.
-        """
-        key = (benchmark, config)
-        if key not in self._cycles:
-            self._cycles[key] = self._compute_cycles(benchmark, config)
-        return self._cycles[key]
-
-    def _compute_cycles(self, benchmark: str, config: EngineConfig) -> int:
-        cache_key = None
-        if self._result_cache is not None:
-            cache_key = timing_key(benchmark, config, self.trace_length,
-                                   self.seed, self.machine)
-            cached = self._result_cache.load_cycles(cache_key)
-            if cached is not None:
-                return cached
-        stats = self.prediction(benchmark, config, collect_mask=True)
-        with get_sink().span("timing", benchmark=benchmark):
-            result = run_timing(
-                self.trace(benchmark), self.machine,
-                stats.mispredict_mask, self.penalty(benchmark),
-            )
-        if cache_key is not None:
-            self._result_cache.store_cycles(cache_key, result.cycles)
-        return result.cycles
 
     def execution_time_reduction(self, benchmark: str,
                                  config: EngineConfig) -> float:

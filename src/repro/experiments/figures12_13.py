@@ -31,7 +31,7 @@ def run(ctx: ExperimentContext) -> ExperimentTable:
         for config in [tagged_engine(assoc=a) for a in ASSOCIATIVITIES]
         + [tagless_engine()]
     ]
-    ctx.predictions(cells, collect_mask=True)
+    ctx.cycle_counts(cells)
     columns = [f"tagged {a}-way" for a in ASSOCIATIVITIES] + ["tagless 512"]
     rows = []
     for benchmark in FOCUS_BENCHMARKS:

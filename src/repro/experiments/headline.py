@@ -35,15 +35,12 @@ BEST_TAGGED = {
 
 
 def run(ctx: ExperimentContext) -> ExperimentTable:
-    ctx.predictions(
-        [
-            (benchmark, config)
-            for benchmark in ("perl", "gcc")
-            for config in (EngineConfig(), BEST_TAGLESS[benchmark],
-                           BEST_TAGGED[benchmark])
-        ],
-        collect_mask=True,
-    )
+    ctx.cycle_counts([
+        (benchmark, config)
+        for benchmark in ("perl", "gcc")
+        for config in (EngineConfig(), BEST_TAGLESS[benchmark],
+                       BEST_TAGGED[benchmark])
+    ])
     rows = []
     for benchmark in ("perl", "gcc"):
         base = ctx.baseline(benchmark).indirect_mispred_rate

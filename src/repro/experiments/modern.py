@@ -61,12 +61,11 @@ def _cascade_engine(history: HistoryConfig) -> EngineConfig:
 
 
 def run(ctx: ExperimentContext) -> ExperimentTable:
-    ctx.predictions([(benchmark, EngineConfig()) for benchmark in BENCHMARKS],
-                    collect_mask=True)
     ctx.predictions([
         (benchmark, config)
         for benchmark in BENCHMARKS
         for config in (
+            EngineConfig(),
             tagless_engine(history=best_classic_history(benchmark)),
             _cascade_engine(best_classic_history(benchmark)),
             ittage_engine(),

@@ -33,15 +33,15 @@ _HISTORY = path_scheme_history("ind jmp", bits=10, bits_per_target=2)
 
 
 def run(ctx: ExperimentContext) -> ExperimentTable:
-    ctx.predictions(
-        [
-            (benchmark, config)
-            for benchmark in BENCHMARKS
-            for config in (EngineConfig(), tagless_engine(history=_HISTORY),
-                           tagged_engine(assoc=8, history=_HISTORY))
-        ],
-        collect_mask=True,
-    )
+    ctx.cycle_counts([
+        (benchmark, config)
+        for benchmark in BENCHMARKS
+        for config in (EngineConfig(), tagged_engine(assoc=8, history=_HISTORY))
+    ])
+    ctx.predictions([
+        (benchmark, tagless_engine(history=_HISTORY))
+        for benchmark in BENCHMARKS
+    ])
     rows = []
     for benchmark in BENCHMARKS:
         trace = ctx.trace(benchmark)

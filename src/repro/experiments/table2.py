@@ -19,11 +19,11 @@ from repro.workloads import workload_names
 def run(ctx: ExperimentContext) -> ExperimentTable:
     rows = []
     two_bit = EngineConfig(btb_strategy=UpdateStrategy.TWO_BIT)
-    ctx.predictions(
-        [(name, EngineConfig()) for name in workload_names()],
-        collect_mask=True,  # the baseline memo always carries the mask
-    )
-    ctx.predictions([(name, two_bit) for name in workload_names()])
+    ctx.predictions([
+        (name, config)
+        for config in (EngineConfig(), two_bit)
+        for name in workload_names()
+    ])
     for name in workload_names():
         default_rate = ctx.baseline(name).indirect_mispred_rate
         two_bit_rate = ctx.prediction(name, two_bit).indirect_mispred_rate

@@ -35,8 +35,7 @@ def _config(scheme: str, address_bit: int) -> EngineConfig:
 
 
 def run(ctx: ExperimentContext) -> ExperimentTable:
-    # exec-time cells need the mispredict mask; prefetch them (and the
-    # BTB-only baselines) in one parallel batch
+    # time every cell (and the BTB-only baselines) in one parallel batch
     cells = [(benchmark, EngineConfig()) for benchmark in FOCUS_BENCHMARKS]
     cells += [
         (benchmark, _config(scheme, address_bit))
@@ -44,7 +43,7 @@ def run(ctx: ExperimentContext) -> ExperimentTable:
         for address_bit in ADDRESS_BITS
         for scheme in PATH_SCHEME_LABELS
     ]
-    ctx.predictions(cells, collect_mask=True)
+    ctx.cycle_counts(cells)
     rows = []
     for benchmark in FOCUS_BENCHMARKS:
         for address_bit in ADDRESS_BITS:

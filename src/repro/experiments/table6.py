@@ -41,7 +41,7 @@ def run(ctx: ExperimentContext) -> ExperimentTable:
         for bits_per_target in BITS_PER_TARGET
         for scheme in PATH_SCHEME_LABELS
     ]
-    ctx.predictions(cells, collect_mask=True)
+    ctx.cycle_counts(cells)
     rows = []
     for benchmark in FOCUS_BENCHMARKS:
         for bits_per_target in BITS_PER_TARGET:

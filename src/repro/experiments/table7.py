@@ -41,7 +41,7 @@ def run(ctx: ExperimentContext) -> ExperimentTable:
         for assoc in ASSOCIATIVITIES
         for _, indexing in INDEXINGS
     ]
-    ctx.predictions(cells, collect_mask=True)
+    ctx.cycle_counts(cells)
     rows = []
     for benchmark in FOCUS_BENCHMARKS:
         for assoc in ASSOCIATIVITIES:

@@ -38,7 +38,7 @@ def run(ctx: ExperimentContext) -> ExperimentTable:
         for assoc in ASSOCIATIVITIES
         for scheme in PATH_SCHEME_LABELS
     ]
-    ctx.predictions(cells, collect_mask=True)
+    ctx.cycle_counts(cells)
     rows = []
     for benchmark in FOCUS_BENCHMARKS:
         for assoc in ASSOCIATIVITIES:

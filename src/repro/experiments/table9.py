@@ -37,7 +37,7 @@ def run(ctx: ExperimentContext) -> ExperimentTable:
         for assoc in ASSOCIATIVITIES
         for bits in HISTORY_BITS
     ]
-    ctx.predictions(cells, collect_mask=True)
+    ctx.cycle_counts(cells)
     rows = []
     for benchmark in FOCUS_BENCHMARKS:
         for assoc in ASSOCIATIVITIES:

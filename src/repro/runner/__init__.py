@@ -7,7 +7,8 @@ that makes them fast and repeatable:
 * :func:`run_cells` — fan cells out over a process pool (``jobs`` workers,
   ``REPRO_JOBS`` default), each worker loading and decoding every trace at
   most once; results come back in deterministic cell order and are
-  bit-identical to a serial run;
+  bit-identical to a serial run.  A cell given a ``machine`` is timed in
+  the worker too and returns :class:`TimedStats` with its cycle count;
 * :class:`ResultCache` — an on-disk store keyed by
   :func:`~repro.runner.keys.cell_key` (trace fingerprint + full engine
   config + simulator-code hash) so unchanged cells are never re-simulated,
@@ -42,6 +43,7 @@ from repro.runner.pool import (
     BACKENDS,
     SweepCell,
     SweepPool,
+    TimedStats,
     default_jobs,
     run_cells,
 )
@@ -53,6 +55,7 @@ __all__ = [
     "ResultCache",
     "SweepCell",
     "SweepPool",
+    "TimedStats",
     "cell_key",
     "config_token",
     "default_jobs",

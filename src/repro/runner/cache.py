@@ -5,10 +5,12 @@ cells whose inputs have not changed.  This cache makes the second run
 near-free: each cell's stats are stored as one small compressed npz file
 keyed by :func:`repro.runner.keys.cell_key` (trace fingerprint + engine
 config + simulator-code hash), so any change that could alter a result
-misses, and everything else hits.  Cycle counts from the timing model are
-stored alongside as tiny json files keyed by
-:func:`repro.runner.keys.timing_key` (cell key + machine config +
-pipeline-code hash), so a warm re-run skips ``run_timing`` too.
+misses, and everything else hits.  An entry holds the counters only:
+the per-instruction mispredict mask never reaches the disk.  Cycle
+counts from the timing model, which runs in whichever process simulated
+the cell (:mod:`repro.runner.pool`), are stored alongside as tiny json
+files keyed by :func:`repro.runner.keys.timing_key` (cell key + machine
+config + pipeline-code hash), so a warm re-run skips ``run_timing`` too.
 
 Control knobs:
 
@@ -29,7 +31,6 @@ import json
 import os
 import tempfile
 import time
-import zipfile
 from pathlib import Path
 from typing import Optional, Union
 
@@ -38,6 +39,7 @@ import numpy as np
 from repro.guest.isa import BranchKind
 from repro.obs import get_sink
 from repro.predictors import PredictionStats
+from repro.trace.io import CORRUPT_ENTRY_ERRORS
 
 _FORMAT_VERSION = 1
 
@@ -47,15 +49,6 @@ _OFF_VALUES = {"0", "off", "no", "false", ""}
 #: Seconds after which an unreleased cell claim counts as abandoned (the
 #: claiming process died); a fresh claimer may break and take it over.
 DEFAULT_CLAIM_TTL_S = 120.0
-
-#: Exceptions a corrupt/torn/stale cache entry may raise on load.  A
-#: truncated npz manifests as ``zipfile.BadZipFile`` or ``EOFError``
-#: depending on where the bytes stop; all of them mean "miss", never
-#: "crash" — the multi-server sharing story depends on readers surviving
-#: whatever a crashed writer left behind.
-_CORRUPT_ENTRY_ERRORS = (
-    ValueError, OSError, KeyError, EOFError, zipfile.BadZipFile,
-)
 
 
 def result_cache_enabled() -> bool:
@@ -93,12 +86,11 @@ class ResultCache:
         return self.directory / key[:2] / f"{key}.npz"
 
     # ------------------------------------------------------------------
-    def load(self, key: str, need_mask: bool = False) -> Optional[PredictionStats]:
+    def load(self, key: str) -> Optional[PredictionStats]:
         """Return the cached stats for ``key``, or ``None`` on a miss.
 
-        ``need_mask=True`` additionally requires the entry to carry the
-        per-instruction mispredict mask; maskless entries count as misses
-        (and are overwritten by the maskful recompute).
+        Entries written by older versions may also hold a packed
+        mispredict mask; it is never read.
 
         Crash-consistency contract (the flip side of :meth:`store`): a
         reader can observe either no file or a complete one under normal
@@ -115,10 +107,6 @@ class ResultCache:
             with np.load(path) as archive:
                 if int(archive["version"]) != _FORMAT_VERSION:
                     raise ValueError("format version mismatch")
-                has_mask = bool(archive["has_mask"])
-                if need_mask and not has_mask:
-                    get_sink().incr("result_cache.load.miss")
-                    return None
                 stats = PredictionStats(
                     instructions=int(archive["instructions"]),
                     btb_lookups=int(archive["btb_lookups"]),
@@ -132,14 +120,9 @@ class ResultCache:
                     counter = stats.counters(BranchKind(value))
                     counter.executed = executed
                     counter.mispredicted = mispredicted
-                if has_mask:
-                    n = int(archive["mask_length"])
-                    stats.mispredict_mask = np.unpackbits(
-                        archive["mask_packed"], count=n
-                    ).astype(bool)
                 get_sink().incr("result_cache.load.hit")
                 return stats
-        except _CORRUPT_ENTRY_ERRORS:
+        except CORRUPT_ENTRY_ERRORS:
             path.unlink(missing_ok=True)  # corrupt or stale entry
             get_sink().incr("result_cache.evict")
             return None
@@ -162,7 +145,6 @@ class ResultCache:
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         kinds = sorted(stats.per_kind, key=lambda kind: kind.value)
-        mask = stats.mispredict_mask
         payload = dict(
             version=np.int64(_FORMAT_VERSION),
             instructions=np.int64(stats.instructions),
@@ -175,11 +157,7 @@ class ResultCache:
             mispredicted=np.array(
                 [stats.per_kind[k].mispredicted for k in kinds], dtype=np.int64
             ),
-            has_mask=np.bool_(mask is not None),
         )
-        if mask is not None:
-            payload["mask_packed"] = np.packbits(mask)
-            payload["mask_length"] = np.int64(len(mask))
         fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".npz.tmp")
         try:
             with os.fdopen(fd, "wb") as handle:
@@ -206,7 +184,7 @@ class ResultCache:
                 raise ValueError("format version mismatch")
             get_sink().incr("result_cache.cycles.hit")
             return int(payload["cycles"])
-        except (ValueError, OSError, KeyError, TypeError):
+        except CORRUPT_ENTRY_ERRORS:
             path.unlink(missing_ok=True)  # corrupt or stale entry
             get_sink().incr("result_cache.evict")
             return None

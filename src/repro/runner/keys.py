@@ -149,10 +149,9 @@ def cell_key(benchmark: str, config: EngineConfig, trace_length: int,
     configs collide exactly when their specs are equal, which is also the
     condition under which the registry builds identical predictors.
 
-    Deliberately independent of ``collect_mask``: a cached result that
-    carries the mispredict mask satisfies both mask and no-mask requests,
-    so the cache stores at most one entry per cell (see
-    :meth:`repro.runner.cache.ResultCache.load`).
+    Deliberately independent of any machine: a timed cell shares its
+    stats entry with the untimed one and adds only a cycle count under
+    :func:`timing_key`.
     """
     payload = json.dumps(
         {

@@ -25,12 +25,21 @@ worker processes.  The design goals, in order:
    the ladder (``--backend`` on the CLI): ``auto``/``vector`` pick the
    fastest supported tier per cell, ``streams`` and ``engine`` force the
    lower tiers; unsupported cells always degrade downward, never error.
-4. **Near-free warm re-runs**: cells whose
-   :func:`~repro.runner.keys.cell_key` is already in the persistent
+4. **Timing beside the trace**: a cell with a ``machine`` runs the
+   timing model (:func:`~repro.pipeline.run_timing`) in the process that
+   simulated it, against that process's memoised memory penalties, and
+   comes back as :class:`TimedStats` carrying the cycle count.  The
+   per-instruction mispredict mask the timing model reads is dropped
+   where it was made: it never crosses a process boundary or reaches the
+   disk.
+5. **Near-free warm re-runs**: cells whose
+   :func:`~repro.runner.keys.cell_key` (and, for timed cells,
+   :func:`~repro.runner.keys.timing_key`) is already in the persistent
    :class:`~repro.runner.cache.ResultCache` never reach a worker.
 
-The serial path (``jobs=1``) runs in-process with the same per-signature
-stream memo, so even single-core sweeps amortise the per-branch walk.  A
+The serial path (``jobs=1``) runs in-process through the same per-cell
+function and memos as the workers, so even single-core sweeps amortise
+the per-branch walk.  A
 worker pool that breaks mid-sweep (a worker killed by the OOM killer or a
 signal) is downgraded to the serial path for whatever cells were still
 outstanding, with a warning.
@@ -49,16 +58,18 @@ import os
 import warnings
 from concurrent.futures import (
     Executor,
-    Future,
     ProcessPoolExecutor,
     ThreadPoolExecutor,
     as_completed,
 )
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
+import numpy.typing as npt
+
 from repro.obs import attach_worker, get_sink
+from repro.pipeline import MachineConfig, memory_penalties, run_timing
 from repro.predictors import (
     BranchStreams,
     DecodedBranches,
@@ -77,13 +88,16 @@ from repro.predictors import (
     vector_supported,
 )
 from repro.runner.cache import ResultCache
-from repro.runner.keys import cell_key
+from repro.runner.keys import cell_key, timing_key
 from repro.trace.trace import Trace
 from repro.workloads import get_trace
 
 
 #: Execution-tier caps accepted by :func:`run_cells` (and ``--backend``).
 BACKENDS = ("auto", "engine", "streams", "vector")
+
+#: One cell of a chunk: ``(position, config, machine to time it on)``.
+_Item = Tuple[int, EngineConfig, Optional[MachineConfig]]
 
 
 def _cell_backend(config: EngineConfig, backend: str) -> str:
@@ -108,13 +122,27 @@ def _cell_backend(config: EngineConfig, backend: str) -> str:
 class SweepCell:
     """One sweep cell: simulate ``benchmark`` under ``config``.
 
-    ``collect_mask`` asks for the per-instruction mispredict mask (needed
-    by the timing model; costs one bool per instruction).
+    With a ``machine``, the cell is also timed on that machine, in the
+    process that simulated it: the result is a :class:`TimedStats`, and
+    the per-instruction mispredict mask the timing model reads never
+    leaves that process.
     """
 
     benchmark: str
     config: EngineConfig
-    collect_mask: bool = False
+    machine: Optional[MachineConfig] = None
+
+
+@dataclass
+class TimedStats(PredictionStats):
+    """Stats of a cell run with a machine, plus that machine's cycles."""
+
+    cycles: int = 0
+
+
+def _timed(stats: PredictionStats, cycles: int) -> TimedStats:
+    return TimedStats(**{**vars(stats), "mispredict_mask": None},
+                      cycles=cycles)
 
 
 def default_jobs() -> int:
@@ -135,10 +163,109 @@ def default_jobs() -> int:
 
 
 # ----------------------------------------------------------------------
-# Worker side.  State lives in module globals set by the pool initializer;
-# each worker loads/decodes a benchmark's trace at most once.
+# Per-cell execution, shared by pool workers and the serial path.
 # ----------------------------------------------------------------------
-_WORKER_STATE: Optional[Dict[str, Any]] = None
+@dataclass
+class _Memo:
+    """One process's traces and everything derived from them.
+
+    A pool worker keeps one for its lifetime (``_WORKER_STATE``); the
+    serial path builds one per benchmark.  Each trace, decode, stream set
+    and penalty array is built at most once and is a deterministic
+    function of its key, so memos replicated across workers cannot make
+    results diverge.
+    """
+
+    trace_length: int
+    seed: int
+    use_trace_cache: bool
+    backend: str
+    trace_provider: Optional[Callable[[str], Trace]] = None
+    loaded: Dict[str, Tuple[Trace, DecodedBranches]] = field(
+        default_factory=dict)
+    streams: Dict[Tuple[str, StreamConfig], BranchStreams] = field(
+        default_factory=dict)
+    penalties: Dict[Tuple[str, str], "npt.NDArray[Any]"] = field(
+        default_factory=dict)
+
+
+def _load_trace(memo: _Memo, benchmark: str) -> Trace:
+    if memo.trace_provider is not None:
+        return memo.trace_provider(benchmark)
+    return get_trace(benchmark, n_instructions=memo.trace_length,
+                     seed=memo.seed, use_cache=memo.use_trace_cache)
+
+
+def _loaded(memo: _Memo, benchmark: str) -> Tuple[Trace, DecodedBranches]:
+    loaded = memo.loaded.get(benchmark)
+    if loaded is None:
+        trace = _load_trace(memo, benchmark)
+        loaded = memo.loaded[benchmark] = (trace, decode_branches(trace))
+    return loaded
+
+
+def _streams(memo: _Memo, benchmark: str,
+             config: EngineConfig) -> BranchStreams:
+    signature = stream_signature(config)
+    streams = memo.streams.get((benchmark, signature))
+    if streams is None:
+        with get_sink().span("streams.build", benchmark=benchmark):
+            streams = build_streams(_loaded(memo, benchmark)[1], signature)
+        memo.streams[(benchmark, signature)] = streams
+    else:
+        get_sink().incr("streams.reuse")
+    return streams
+
+
+def _penalties(memo: _Memo, benchmark: str,
+               machine: MachineConfig) -> "npt.NDArray[Any]":
+    key = (benchmark, repr(machine))
+    penalties = memo.penalties.get(key)
+    if penalties is None:
+        penalties = memory_penalties(_loaded(memo, benchmark)[0], machine)
+        memo.penalties[key] = penalties
+    return penalties
+
+
+def _run_cell(memo: _Memo, benchmark: str, config: EngineConfig,
+              machine: Optional[MachineConfig]) -> PredictionStats:
+    """Simulate one cell on the fastest tier ``memo.backend`` allows.
+
+    With a ``machine`` the cell is timed right here, next to its trace,
+    and the mispredict mask is dropped before the stats leave.
+    """
+    trace, decoded = _loaded(memo, benchmark)
+    sink = get_sink()
+    tier = _cell_backend(config, memo.backend)
+    sink.incr(f"runner.backend.{tier}")
+    # Each kernel's third argument asks for the mispredict mask.
+    timed = machine is not None
+    if tier == "vector":
+        streams = _streams(memo, benchmark, config)
+        with sink.span("cell", benchmark=benchmark, kernel="vector"):
+            stats = simulate_vector(streams, config, timed)
+    elif tier == "streams":
+        streams = _streams(memo, benchmark, config)
+        with sink.span("cell", benchmark=benchmark, kernel="stream"):
+            stats = simulate_streamed(streams, config, timed)
+    else:
+        if memo.backend != "engine":
+            sink.incr("streams.fallback_reference")
+        with sink.span("cell", benchmark=benchmark, kernel="reference"):
+            stats = simulate(trace, config, timed, decoded)
+    if machine is None:
+        return stats
+    with sink.span("timing", benchmark=benchmark):
+        result = run_timing(trace, machine, stats.mispredict_mask,
+                            _penalties(memo, benchmark, machine))
+    return _timed(stats, result.cycles)
+
+
+# ----------------------------------------------------------------------
+# Worker side.  The memo lives in a module global set by the pool
+# initializer; each worker loads/decodes a benchmark's trace at most once.
+# ----------------------------------------------------------------------
+_WORKER_STATE: Optional[_Memo] = None
 
 
 def _init_worker(trace_length: int, seed: int, use_trace_cache: bool,
@@ -165,88 +292,22 @@ def _init_worker(trace_length: int, seed: int, use_trace_cache: bool,
         # fork start method the registrations are inherited anyway; this
         # covers spawn, where the worker starts from a fresh interpreter.
         load_plugins(predictor_plugins)
-    _WORKER_STATE = {
-        "trace_length": trace_length,
-        "seed": seed,
-        "use_trace_cache": use_trace_cache,
-        "backend": backend,
-        "decoded": {},
-        "traces": {},
-        "streams": {},
-    }
+    _WORKER_STATE = _Memo(trace_length, seed, use_trace_cache, backend)
 
 
-def _worker_decoded(benchmark: str) -> DecodedBranches:
-    state = _WORKER_STATE
-    assert state is not None, "worker used before _init_worker"
-    decoded = state["decoded"].get(benchmark)
-    if decoded is None:
-        trace = get_trace(
-            benchmark, n_instructions=state["trace_length"],
-            seed=state["seed"], use_cache=state["use_trace_cache"],
-        )
-        # Per-worker decode memo: keyed by benchmark, value deterministic
-        # given the spec, so replication across workers cannot diverge.
-        state["traces"][benchmark] = trace  # repro-lint: ignore[worker-global-write]
-        decoded = decode_branches(trace)
-        state["decoded"][benchmark] = decoded  # repro-lint: ignore[worker-global-write]
-    return decoded
-
-
-def _worker_streams(benchmark: str, signature: StreamConfig) -> BranchStreams:
-    """Per-worker :class:`BranchStreams` memo, built at most once each."""
-    state = _WORKER_STATE
-    assert state is not None, "worker used before _init_worker"
-    streams = state["streams"].get((benchmark, signature))
-    if streams is None:
-        with get_sink().span("streams.build", benchmark=benchmark):
-            streams = build_streams(_worker_decoded(benchmark), signature)
-        # Same per-worker memo discipline as _worker_decoded above.
-        state["streams"][(benchmark, signature)] = streams  # repro-lint: ignore[worker-global-write]
-    else:
-        get_sink().incr("streams.reuse")
-    return streams
-
-
-def _run_chunk(benchmark: str,
-               items: List[Tuple[int, EngineConfig, bool]]
+def _run_chunk(benchmark: str, items: List[_Item]
                ) -> List[Tuple[int, PredictionStats]]:
-    decoded = _worker_decoded(benchmark)
-    assert _WORKER_STATE is not None
-    trace = _WORKER_STATE["traces"][benchmark]
-    # The tier cap is run-wide, so it rides in via the pool initializer
-    # rather than widening the chunk-runner signature.
-    backend = _WORKER_STATE["backend"]
-    sink = get_sink()
-    out: List[Tuple[int, PredictionStats]] = []
-    for index, config, collect_mask in items:
-        tier = _cell_backend(config, backend)
-        sink.incr(f"runner.backend.{tier}")
-        if tier == "vector":
-            streams = _worker_streams(benchmark, stream_signature(config))
-            with sink.span("cell", benchmark=benchmark, kernel="vector"):
-                stats = simulate_vector(streams, config,
-                                        collect_mask=collect_mask)
-        elif tier == "streams":
-            streams = _worker_streams(benchmark, stream_signature(config))
-            with sink.span("cell", benchmark=benchmark, kernel="stream"):
-                stats = simulate_streamed(streams, config,
-                                          collect_mask=collect_mask)
-        else:
-            if backend != "engine":
-                sink.incr("streams.fallback_reference")
-            with sink.span("cell", benchmark=benchmark, kernel="reference"):
-                stats = simulate(trace, config, collect_mask=collect_mask,
-                                 decoded=decoded)
-        out.append((index, stats))
+    memo = _WORKER_STATE
+    assert memo is not None, "worker used before _init_worker"
+    out = [(index, _run_cell(memo, benchmark, config, machine))
+           for index, config, machine in items]
     # Chunk boundary: persist this worker's shard so nothing is lost if
     # the pool later breaks (the parent merges whatever was flushed).
-    sink.flush()
+    get_sink().flush()
     return out
 
 
-def _service_cell(benchmark: str, config: EngineConfig,
-                  collect_mask: bool = False) -> PredictionStats:
+def _service_cell(benchmark: str, config: EngineConfig) -> PredictionStats:
     """Worker entry point for single-cell service submissions.
 
     The sweep service schedules cells one at a time (its shard scheduler
@@ -256,7 +317,7 @@ def _service_cell(benchmark: str, config: EngineConfig,
     tiers behave identically to batch sweeps — a cell computes the same
     bytes no matter which front end submitted it.
     """
-    return _run_chunk(benchmark, [(0, config, collect_mask)])[0][1]
+    return _run_chunk(benchmark, [(0, config, None)])[0][1]
 
 
 # ----------------------------------------------------------------------
@@ -265,9 +326,7 @@ def _service_cell(benchmark: str, config: EngineConfig,
 _T = TypeVar("_T")
 
 
-def _group_by_signature(
-    items: List[Tuple[int, EngineConfig, bool]]
-) -> List[Tuple[int, EngineConfig, bool]]:
+def _group_by_signature(items: List[_Item]) -> List[_Item]:
     """Reorder ``items`` so cells sharing a stream signature are adjacent.
 
     Chunked contiguously, cells with one signature land in as few workers
@@ -276,8 +335,7 @@ def _group_by_signature(
     order here never leaks into outputs).  Unsupported cells group under
     ``None``.  First-seen signature order keeps the schedule deterministic.
     """
-    groups: Dict[Optional[StreamConfig],
-                 List[Tuple[int, EngineConfig, bool]]] = {}
+    groups: Dict[Optional[StreamConfig], List[_Item]] = {}
     for item in items:
         config = item[1]
         signature = (
@@ -310,12 +368,14 @@ def run_cells(cells: Sequence[SweepCell], jobs: Optional[int] = None, *,
               ) -> List[PredictionStats]:
     """Simulate every cell, returning stats in the order given.
 
+    Cells with a machine come back as :class:`TimedStats`.
     ``result_cache`` (usually :meth:`ResultCache.from_env`) short-circuits
-    cells simulated before; ``trace_provider`` lets a caller with traces
-    already in memory (e.g. ``ExperimentContext.trace``) supply them
-    instead of hitting the disk cache.  Duplicate cells are simulated once.
-    ``backend`` caps the execution tier (see :data:`BACKENDS`); every tier
-    is bit-identical, so cached results are shared across backends.
+    cells simulated or timed before; ``trace_provider`` lets a caller with
+    traces already in memory (e.g. ``ExperimentContext.trace``) supply
+    them instead of hitting the disk cache.  Duplicate cells are
+    simulated once.  ``backend`` caps the execution tier (see
+    :data:`BACKENDS`); every tier is bit-identical, so cached results are
+    shared across backends.
     """
     if backend not in BACKENDS:
         raise ValueError(
@@ -323,112 +383,98 @@ def run_cells(cells: Sequence[SweepCell], jobs: Optional[int] = None, *,
         )
     jobs = default_jobs() if jobs is None else max(1, jobs)
     sink = get_sink()
-    results: List[Optional[PredictionStats]] = [None] * len(cells)
 
-    # Deduplicate and consult the persistent cache.  A cell needs the mask
-    # if *any* duplicate asked for it.
-    unique: Dict[Tuple[str, EngineConfig], List[int]] = {}
+    # Deduplicate, then consult the persistent cache: stats under the
+    # cell key, cycles (for timed cells) under the timing key.  A
+    # MachineConfig holds a dict, so is unhashable: its repr keys it.
+    unique: Dict[Tuple[str, EngineConfig, str], List[int]] = {}
     for index, cell in enumerate(cells):
-        unique.setdefault((cell.benchmark, cell.config), []).append(index)
-    pending: List[Tuple[str, EngineConfig, bool]] = []
-    keys: Dict[Tuple[str, EngineConfig], str] = {}
-    for (benchmark, config), indices in unique.items():
-        need_mask = any(cells[i].collect_mask for i in indices)
+        unique.setdefault(
+            (cell.benchmark, cell.config, repr(cell.machine)), []
+        ).append(index)
+    results: List[Optional[PredictionStats]] = [None] * len(cells)
+    # (cell to compute, result indices, key to store stats under, key to
+    # store cycles under, cycles the cache already had)
+    pending: List[Tuple[SweepCell, List[int], Optional[str], Optional[str],
+                        Optional[int]]] = []
+    for indices in unique.values():
+        cell = cells[indices[0]]
+        stats: Optional[PredictionStats] = None
+        cycles: Optional[int] = None
+        key: Optional[str] = None
+        cycles_key: Optional[str] = None
         if result_cache is not None:
-            key = cell_key(benchmark, config, trace_length, seed)
-            keys[(benchmark, config)] = key
-            hit = result_cache.load(key, need_mask=need_mask)
-            if hit is not None:
-                sink.incr("runner.cell_cache.hit")
-                for i in indices:
-                    results[i] = hit
-                continue
-            sink.incr("runner.cell_cache.miss")
-        pending.append((benchmark, config, need_mask))
+            key = cell_key(cell.benchmark, cell.config, trace_length, seed)
+            stats = result_cache.load(key)
+            sink.incr("runner.cell_cache.hit" if stats is not None
+                      else "runner.cell_cache.miss")
+            if cell.machine is not None:
+                cycles_key = timing_key(cell.benchmark, cell.config,
+                                        trace_length, seed, cell.machine)
+                cycles = result_cache.load_cycles(cycles_key)
+        if stats is not None and (cell.machine is None or cycles is not None):
+            hit = stats if cycles is None else _timed(stats, cycles)
+            for i in indices:
+                results[i] = hit
+            continue
+        # Timing needs the mask, which only a fresh simulation has: a
+        # cell whose cycles missed recomputes even if its stats hit.
+        pending.append((
+            SweepCell(cell.benchmark, cell.config,
+                      cell.machine if cycles is None else None),
+            indices,
+            key if stats is None else None,
+            cycles_key if cycles is None else None,
+            cycles,
+        ))
 
     if pending:
-        computed = _compute(pending, jobs, trace_length, seed,
-                            use_trace_cache, trace_provider, backend)
-        for (benchmark, config, _), stats in zip(pending, computed):
-            if result_cache is not None:
-                key = keys.get((benchmark, config)) or cell_key(
-                    benchmark, config, trace_length, seed
-                )
+        computed = _compute([item[0] for item in pending], jobs,
+                            trace_length, seed, use_trace_cache,
+                            trace_provider, backend)
+        for (_, indices, key, cycles_key, cycles), stats in zip(pending,
+                                                                computed):
+            if result_cache is not None and key is not None:
                 result_cache.store(key, stats)
-            for i in unique[(benchmark, config)]:
+            if result_cache is not None and cycles_key is not None:
+                assert isinstance(stats, TimedStats)
+                result_cache.store_cycles(cycles_key, stats.cycles)
+            if cycles is not None:
+                stats = _timed(stats, cycles)
+            for i in indices:
                 results[i] = stats
     return results  # type: ignore[return-value]
 
 
-def _compute(pending: List[Tuple[str, EngineConfig, bool]], jobs: int,
+def _compute(pending: List[SweepCell], jobs: int,
              trace_length: int, seed: int, use_trace_cache: bool,
              trace_provider: Optional[Callable[[str], Trace]],
              backend: str = "auto"
              ) -> List[PredictionStats]:
-    """Simulate ``pending`` cells, in order, serially or via the pool."""
-
-    def load_trace(benchmark: str) -> Trace:
-        if trace_provider is not None:
-            return trace_provider(benchmark)
-        return get_trace(benchmark, n_instructions=trace_length, seed=seed,
-                         use_cache=use_trace_cache)
-
-    by_benchmark: Dict[str, List[Tuple[int, EngineConfig, bool]]] = {}
-    for position, (benchmark, config, need_mask) in enumerate(pending):
-        by_benchmark.setdefault(benchmark, []).append(
-            (position, config, need_mask)
+    """Run ``pending`` cells, in order, serially or via the pool."""
+    by_benchmark: Dict[str, List[_Item]] = {}
+    for position, cell in enumerate(pending):
+        by_benchmark.setdefault(cell.benchmark, []).append(
+            (position, cell.config, cell.machine)
         )
 
     sink = get_sink()
     out: List[Optional[PredictionStats]] = [None] * len(pending)
     if jobs <= 1 or len(pending) == 1:
         for benchmark, items in by_benchmark.items():
-            trace = load_trace(benchmark)
-            decoded = decode_branches(trace)
-            streams_memo: Dict[StreamConfig, BranchStreams] = {}
-
-            def serial_streams(signature: StreamConfig) -> BranchStreams:
-                streams = streams_memo.get(signature)
-                if streams is None:
-                    with sink.span("streams.build", benchmark=benchmark):
-                        streams = build_streams(decoded, signature)
-                    streams_memo[signature] = streams
-                else:
-                    sink.incr("streams.reuse")
-                return streams
-
-            for position, config, need_mask in items:
-                tier = _cell_backend(config, backend)
-                sink.incr(f"runner.backend.{tier}")
-                if tier == "vector":
-                    streams = serial_streams(stream_signature(config))
-                    with sink.span("cell", benchmark=benchmark,
-                                   kernel="vector"):
-                        out[position] = simulate_vector(
-                            streams, config, collect_mask=need_mask
-                        )
-                elif tier == "streams":
-                    streams = serial_streams(stream_signature(config))
-                    with sink.span("cell", benchmark=benchmark,
-                                   kernel="stream"):
-                        out[position] = simulate_streamed(
-                            streams, config, collect_mask=need_mask
-                        )
-                else:
-                    if backend != "engine":
-                        sink.incr("streams.fallback_reference")
-                    with sink.span("cell", benchmark=benchmark,
-                                   kernel="reference"):
-                        out[position] = simulate(trace, config,
-                                                 collect_mask=need_mask,
-                                                 decoded=decoded)
+            memo = _Memo(trace_length, seed, use_trace_cache, backend,
+                         trace_provider)
+            for position, config, machine in items:
+                out[position] = _run_cell(memo, benchmark, config, machine)
         return out  # type: ignore[return-value]
 
     # Parallel path: make sure each trace exists on disk exactly once
     # before forking, so workers load rather than regenerate it.
     if use_trace_cache:
+        parent = _Memo(trace_length, seed, use_trace_cache, backend,
+                       trace_provider)
         for benchmark in by_benchmark:
-            load_trace(benchmark)
+            _load_trace(parent, benchmark)
     chunks = [
         (benchmark, chunk)
         for benchmark, items in by_benchmark.items()
@@ -563,14 +609,6 @@ class SweepPool:
                               self.backend),
                 )
         return self._executor
-
-    def submit_cell(self, benchmark: str, config: EngineConfig,
-                    collect_mask: bool = False
-                    ) -> "Future[PredictionStats]":
-        """Submit one cell; returns the executor's future."""
-        return self.executor.submit(
-            _service_cell, benchmark, config, collect_mask
-        )
 
     def degrade_to_thread(self) -> None:
         """Swap a broken/unavailable process pool for the thread fallback.

@@ -32,6 +32,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.bench import vector_sweep_configs
 from repro.experiments.configs import PRESETS
 from repro.obs import get_sink
+from repro.workloads.support import zipf_weights
 
 #: Zipf exponent for the spec popularity distribution: s=1.1 gives the
 #: classic few-hot-many-cold shape without starving the tail entirely.
@@ -70,11 +71,6 @@ def spec_population(benchmarks: Tuple[str, ...] = ("perl", "gcc"),
                 "cells": [{"preset": name}],
             })
     return population
-
-
-def zipf_weights(n: int, s: float = DEFAULT_ZIPF_S) -> List[float]:
-    """Unnormalised Zipf weights ``1/rank**s`` for ranks ``1..n``."""
-    return [1.0 / (rank ** s) for rank in range(1, n + 1)]
 
 
 def build_mix(requests: int, *, seed: int = 1997,

@@ -48,7 +48,6 @@ class _Cell(NamedTuple):
     key: str
     benchmark: str
     config: EngineConfig
-    collect_mask: bool
 
 
 class ShardScheduler:
@@ -111,8 +110,7 @@ class ShardScheduler:
     # ------------------------------------------------------------------
     # Submission.
     # ------------------------------------------------------------------
-    def submit(self, benchmark: str, config: EngineConfig,
-               collect_mask: bool = False
+    def submit(self, benchmark: str, config: EngineConfig
                ) -> "asyncio.Future[PredictionStats]":
         """Queue one cell; returns a future shared by duplicate submits.
 
@@ -133,9 +131,7 @@ class ShardScheduler:
         )
         self._inflight[key] = future
         shard = self._shard_of(key)
-        self._queues[shard].append(
-            _Cell(key, benchmark, config, collect_mask)
-        )
+        self._queues[shard].append(_Cell(key, benchmark, config))
         # Wake every shard, not just the owner: an idle sibling should
         # get the chance to steal immediately rather than on its next
         # scheduled pass.
@@ -210,7 +206,7 @@ class ShardScheduler:
         cache = self.result_cache
         while True:
             if cache is not None:
-                hit = cache.load(cell.key, need_mask=cell.collect_mask)
+                hit = cache.load(cell.key)
                 if hit is not None:
                     self.counters["cache_hit"] += 1
                     get_sink().incr("service.cell.cache_hit")
@@ -235,8 +231,7 @@ class ShardScheduler:
         loop = asyncio.get_running_loop()
         try:
             stats = await loop.run_in_executor(
-                self.pool.executor, _service_cell,
-                cell.benchmark, cell.config, cell.collect_mask,
+                self.pool.executor, _service_cell, cell.benchmark, cell.config
             )
         except (BrokenProcessPool, OSError, PermissionError) as exc:
             # A worker died or the sandbox refused to fork: degrade the
@@ -245,8 +240,7 @@ class ShardScheduler:
             get_sink().event("service.pool.degraded", error=str(exc))
             self.pool.degrade_to_thread()
             stats = await loop.run_in_executor(
-                self.pool.executor, _service_cell,
-                cell.benchmark, cell.config, cell.collect_mask,
+                self.pool.executor, _service_cell, cell.benchmark, cell.config
             )
         self.counters["computed"] += 1
         get_sink().incr("service.cell.computed")

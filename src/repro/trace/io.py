@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 import tempfile
+import zipfile
 from pathlib import Path
 from typing import Callable, Optional, Union
 
@@ -17,6 +18,14 @@ import numpy as np
 from repro.trace.trace import Trace
 
 _FORMAT_VERSION = 1
+
+#: Exceptions a corrupt, torn or stale cache entry may raise on load.  A
+#: truncated npz raises ``zipfile.BadZipFile`` or ``EOFError`` depending
+#: on where the bytes stop, a mangled json payload ``TypeError``; every
+#: on-disk cache treats all of them as a miss, never a crash.
+CORRUPT_ENTRY_ERRORS = (
+    ValueError, OSError, KeyError, TypeError, EOFError, zipfile.BadZipFile,
+)
 
 
 def save_trace(trace: Trace, path: Union[str, Path]) -> None:
@@ -95,7 +104,7 @@ def cached_trace(key: str, generate: Callable[[], Trace],
     if path.exists():
         try:
             return load_trace(path)
-        except (ValueError, OSError, KeyError):
+        except CORRUPT_ENTRY_ERRORS:
             path.unlink(missing_ok=True)  # corrupt or stale cache entry
     trace = generate()
     save_trace(trace, path)

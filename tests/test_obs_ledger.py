@@ -17,6 +17,7 @@ import pytest
 
 from repro.guest.isa import BranchKind
 from repro.obs import LedgerSink, get_sink, install, read_ledger, shutdown
+from repro.pipeline import MachineConfig
 from repro.predictors import EngineConfig, HistoryConfig, HistorySource, TargetCacheConfig
 from repro.runner import SweepCell, run_cells
 
@@ -52,6 +53,7 @@ def _assert_identical(a, b):
         assert b.mispredict_mask is None
     else:
         assert np.array_equal(a.mispredict_mask, b.mispredict_mask)
+    assert getattr(a, "cycles", None) == getattr(b, "cycles", None)
 
 
 class TestShardMechanics:
@@ -214,7 +216,7 @@ class TestPoolLedger:
 class TestResultNeutrality:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_results_bit_identical_with_obs_on_and_off(self, tmp_path, jobs):
-        cells = [SweepCell("perl", config, collect_mask=True)
+        cells = [SweepCell("perl", config, MachineConfig())
                  for config in CONFIGS]
         install(LedgerSink(tmp_path / "run.jsonl"))
         try:

@@ -82,35 +82,64 @@ class TestKeyInvalidation:
             config_token(object())
 
 
+def _assert_same_counters(a, b):
+    assert a.instructions == b.instructions
+    assert a.btb_lookups == b.btb_lookups
+    assert a.btb_hits == b.btb_hits
+    for kind in BranchKind:
+        assert a.counters(kind).executed == b.counters(kind).executed
+        assert a.counters(kind).mispredicted == b.counters(kind).mispredicted
+
+
+#: Arrays only the old, mask-carrying entry layout wrote.
+_MASK_ARRAYS = {"has_mask", "mask_packed", "mask_length"}
+
+
 class TestResultCacheStore:
-    def test_round_trip_with_mask(self, tmp_path):
+    def test_round_trip(self, tmp_path):
         from repro.workloads import get_trace
 
         trace = get_trace("perl", n_instructions=LENGTH)
         stats = simulate(trace, EngineConfig(), collect_mask=True)
         cache = ResultCache(tmp_path)
         cache.store("a" * 64, stats)
-        loaded = cache.load("a" * 64, need_mask=True)
+        loaded = cache.load("a" * 64)
         assert loaded is not None
-        assert loaded.instructions == stats.instructions
-        assert loaded.btb_lookups == stats.btb_lookups
-        assert loaded.btb_hits == stats.btb_hits
-        for kind in BranchKind:
-            assert (loaded.counters(kind).executed
-                    == stats.counters(kind).executed)
-            assert (loaded.counters(kind).mispredicted
-                    == stats.counters(kind).mispredicted)
-        assert np.array_equal(loaded.mispredict_mask, stats.mispredict_mask)
+        _assert_same_counters(loaded, stats)
+        assert loaded.mispredict_mask is None
 
-    def test_maskless_entry_misses_when_mask_required(self, tmp_path):
+    def test_stored_entry_holds_no_mask(self, tmp_path):
         from repro.workloads import get_trace
 
         trace = get_trace("perl", n_instructions=LENGTH)
-        stats = simulate(trace, EngineConfig())
+        stats = simulate(trace, EngineConfig(), collect_mask=True)
         cache = ResultCache(tmp_path)
         cache.store("b" * 64, stats)
-        assert cache.load("b" * 64, need_mask=True) is None
-        assert cache.load("b" * 64, need_mask=False) is not None
+        with np.load(cache._path("b" * 64)) as archive:
+            assert not _MASK_ARRAYS & set(archive.files)
+
+    def test_mask_carrying_entry_loads_identical_stats(self, tmp_path):
+        """An entry in the old layout (counters plus a packed mask) is
+        still a hit: the reader ignores the mask arrays."""
+        from repro.workloads import get_trace
+
+        trace = get_trace("perl", n_instructions=LENGTH)
+        stats = simulate(trace, EngineConfig(), collect_mask=True)
+        cache = ResultCache(tmp_path)
+        cache.store("b" * 64, stats)
+        path = cache._path("b" * 64)
+        with np.load(path) as archive:
+            payload = dict(archive)
+        mask = stats.mispredict_mask
+        payload.update(has_mask=np.bool_(True),
+                       mask_packed=np.packbits(mask),
+                       mask_length=np.int64(len(mask)))
+        with open(path, "wb") as handle:
+            np.savez_compressed(handle, **payload)
+        loaded = cache.load("b" * 64)
+        assert loaded is not None
+        _assert_same_counters(loaded, stats)
+        assert loaded.mispredict_mask is None
 
     def test_corrupt_entry_self_heals(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -130,7 +159,7 @@ class TestCacheBehaviourInRunCells:
 
         cache = ResultCache(tmp_path)
         cells = [
-            SweepCell("perl", EngineConfig(), collect_mask=True),
+            SweepCell("perl", EngineConfig(), MachineConfig()),
             SweepCell("perl",
                       EngineConfig(target_cache=TargetCacheConfig(kind="tagless"))),
         ]
@@ -138,7 +167,8 @@ class TestCacheBehaviourInRunCells:
                           result_cache=cache)
 
         calls = []
-        for name in ("simulate", "simulate_streamed", "simulate_vector"):
+        for name in ("simulate", "simulate_streamed", "simulate_vector",
+                     "run_timing"):
             real = getattr(pool_mod, name)
 
             def counting(*args, __real=real, **kwargs):
@@ -148,11 +178,48 @@ class TestCacheBehaviourInRunCells:
             monkeypatch.setattr(pool_mod, name, counting)
         second = run_cells(cells, jobs=1, trace_length=LENGTH,
                            result_cache=cache)
-        assert not calls, "warm cache must not re-simulate any cell"
+        assert not calls, "warm cache must not re-simulate or re-time any cell"
         for one, two in zip(first, second):
-            assert one.branch_mispredictions == two.branch_mispredictions
-            if one.mispredict_mask is not None:
-                assert np.array_equal(one.mispredict_mask, two.mispredict_mask)
+            _assert_same_counters(one, two)
+            assert getattr(one, "cycles", None) == getattr(two, "cycles", None)
+        assert second[0].cycles > 0
+
+    def test_timed_cells_store_no_mask(self, tmp_path):
+        cache = ResultCache(tmp_path / "results")
+        run_cells([SweepCell("perl", EngineConfig(), MachineConfig())],
+                  jobs=1, trace_length=LENGTH, result_cache=cache)
+        entries = list(cache.directory.rglob("*.npz"))
+        assert len(entries) == 1
+        assert len(list(cache.directory.rglob("*.cycles.json"))) == 1
+        with np.load(entries[0]) as archive:
+            assert not _MASK_ARRAYS & set(archive.files)
+
+    def test_stats_hit_with_cycles_miss_stores_only_cycles(
+            self, tmp_path, monkeypatch):
+        import repro.runner.pool as pool_mod
+
+        cache = ResultCache(tmp_path)
+        [untimed] = run_cells([SweepCell("perl", EngineConfig())], jobs=1,
+                              trace_length=LENGTH, result_cache=cache)
+        calls = []
+        real_run_timing = pool_mod.run_timing
+
+        def counting_run_timing(*args, **kwargs):
+            calls.append("run_timing")
+            return real_run_timing(*args, **kwargs)
+
+        def no_store(*args, **kwargs):
+            calls.append("store")
+
+        monkeypatch.setattr(pool_mod, "run_timing", counting_run_timing)
+        monkeypatch.setattr(cache, "store", no_store)
+        [timed] = run_cells(
+            [SweepCell("perl", EngineConfig(), MachineConfig())],
+            jobs=1, trace_length=LENGTH, result_cache=cache,
+        )
+        assert calls == ["run_timing"]
+        _assert_same_counters(timed, untimed)
+        assert timed.cycles > 0
 
     def test_changed_trace_length_re_simulates(self, tmp_path, monkeypatch):
         import repro.runner.pool as pool_mod
@@ -220,7 +287,7 @@ class TestCyclesCache:
         assert not path.exists()
 
     def test_warm_context_skips_run_timing(self, tmp_path, monkeypatch):
-        import repro.experiments.common as common_mod
+        import repro.runner.pool as pool_mod
         from repro.experiments.common import ExperimentContext
 
         monkeypatch.setenv("REPRO_RESULT_CACHE", str(tmp_path))
@@ -228,13 +295,13 @@ class TestCyclesCache:
         reference = cold.cycles("perl", EngineConfig())
 
         calls = []
-        real_run_timing = common_mod.run_timing
+        real_run_timing = pool_mod.run_timing
 
         def counting_run_timing(*args, **kwargs):
             calls.append(1)
             return real_run_timing(*args, **kwargs)
 
-        monkeypatch.setattr(common_mod, "run_timing", counting_run_timing)
+        monkeypatch.setattr(pool_mod, "run_timing", counting_run_timing)
         warm = ExperimentContext(trace_length=LENGTH)
         assert warm.cycles("perl", EngineConfig()) == reference
         assert warm.baseline_cycles("perl") == reference

@@ -3,7 +3,7 @@
 The acceptance bar for :mod:`repro.runner` is that parallelism and caching
 are *invisible* in the numbers: ``run_cells(jobs=4)``, ``run_cells(jobs=1)``
 and a warm-result-cache re-run must produce identical
-:class:`PredictionStats` counters and mispredict masks.
+:class:`PredictionStats` counters and, for timed cells, cycle counts.
 """
 
 import os
@@ -13,6 +13,7 @@ import pytest
 
 from repro.experiments.common import ExperimentContext
 from repro.guest.isa import BranchKind
+from repro.pipeline import MachineConfig
 from repro.predictors import (
     EngineConfig,
     HistoryConfig,
@@ -21,7 +22,7 @@ from repro.predictors import (
     simulate,
     simulate_many,
 )
-from repro.runner import ResultCache, SweepCell, run_cells
+from repro.runner import ResultCache, SweepCell, TimedStats, run_cells
 
 TRACE_LENGTH = 20_000
 
@@ -41,23 +42,28 @@ CONFIGS = [
 
 def _cells():
     return [
-        SweepCell(benchmark, config, collect_mask=True)
+        SweepCell(benchmark, config, MachineConfig())
         for benchmark in ("perl", "gcc")
         for config in CONFIGS
     ]
 
 
-def assert_identical(a, b):
+def assert_same_counters(a, b):
     assert a.instructions == b.instructions
     assert a.btb_lookups == b.btb_lookups
     assert a.btb_hits == b.btb_hits
     for kind in BranchKind:
         assert a.counters(kind).executed == b.counters(kind).executed
         assert a.counters(kind).mispredicted == b.counters(kind).mispredicted
+
+
+def assert_identical(a, b):
+    assert_same_counters(a, b)
     if a.mispredict_mask is None:
         assert b.mispredict_mask is None
     else:
         assert np.array_equal(a.mispredict_mask, b.mispredict_mask)
+    assert getattr(a, "cycles", None) == getattr(b, "cycles", None)
 
 
 class TestRunCellsEquivalence:
@@ -81,12 +87,28 @@ class TestRunCellsEquivalence:
 
         trace = get_trace("perl", n_instructions=TRACE_LENGTH)
         config = CONFIGS[1]
-        direct = simulate(trace, config, collect_mask=True)
+        direct = simulate(trace, config)
         [via_runner] = run_cells(
-            [SweepCell("perl", config, collect_mask=True)],
-            jobs=1, trace_length=TRACE_LENGTH,
+            [SweepCell("perl", config)], jobs=1, trace_length=TRACE_LENGTH,
         )
         assert_identical(direct, via_runner)
+
+    def test_timed_cells_return_cycles_and_no_mask(self):
+        results = run_cells(_cells(), jobs=2, trace_length=TRACE_LENGTH)
+        for stats in results:
+            assert isinstance(stats, TimedStats)
+            assert stats.cycles > stats.instructions // 4
+            assert stats.mispredict_mask is None
+
+    def test_timed_and_untimed_duplicates_are_kept_apart(self):
+        timed = SweepCell("perl", EngineConfig(), MachineConfig())
+        plain = SweepCell("perl", EngineConfig())
+        first, second, third = run_cells([timed, plain, timed], jobs=1,
+                                         trace_length=TRACE_LENGTH)
+        assert isinstance(first, TimedStats)
+        assert not isinstance(second, TimedStats)
+        assert third is first
+        assert second.branch_mispredictions == first.branch_mispredictions
 
     def test_duplicate_cells_simulated_once_and_shared(self):
         cell = SweepCell("perl", EngineConfig())
@@ -130,21 +152,16 @@ class TestExperimentContextMemo:
         # a table sweeping EngineConfig() cells must reuse the baseline
         assert ctx.prediction("perl", EngineConfig()) is baseline
 
-    def test_mask_request_upgrades_maskless_memo_entry(self):
+    def test_cycle_prefetch_fills_the_prediction_memo(self):
         ctx = ExperimentContext(trace_length=TRACE_LENGTH)
         config = CONFIGS[1]
-        no_mask = ctx.prediction("perl", config)
-        assert no_mask.mispredict_mask is None
-        with_mask = ctx.prediction("perl", config, collect_mask=True)
-        assert with_mask.mispredict_mask is not None
-        # counters must agree between the two runs
-        for kind in BranchKind:
-            assert (no_mask.counters(kind).executed
-                    == with_mask.counters(kind).executed)
-            assert (no_mask.counters(kind).mispredicted
-                    == with_mask.counters(kind).mispredicted)
-        # and the memo now serves the maskful stats for both request kinds
-        assert ctx.prediction("perl", config) is with_mask
+        [cycles] = ctx.cycle_counts([("perl", config)])
+        assert ctx.cycles("perl", config) == cycles
+        # served from the memo the timing prefetch filled, not a new run
+        timed = ctx.prediction("perl", config)
+        assert isinstance(timed, TimedStats)
+        assert timed.cycles == cycles and timed.mispredict_mask is None
+        assert_same_counters(timed, simulate(ctx.trace("perl"), config))
 
     def test_batch_predictions_fill_the_memo(self):
         ctx = ExperimentContext(trace_length=TRACE_LENGTH, jobs=2)
@@ -172,7 +189,7 @@ class TestPoolFallback:
         if multiprocessing.get_start_method() != "fork":
             pytest.skip("needs fork workers to inherit the monkeypatch")
         monkeypatch.setattr(pool_mod, "_run_chunk", _kill_worker)
-        cells = [SweepCell("perl", config, collect_mask=True)
+        cells = [SweepCell("perl", config, MachineConfig())
                  for config in CONFIGS]
         with pytest.warns(UserWarning, match="broke mid-sweep"):
             results = run_cells(cells, jobs=2, trace_length=TRACE_LENGTH)

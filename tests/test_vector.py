@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.guest.isa import BranchKind
+from repro.pipeline import MachineConfig
 from repro.predictors import (
     EngineConfig,
     HistoryConfig,
@@ -128,6 +129,7 @@ def assert_identical(a, b):
         assert b.mispredict_mask is None
     else:
         assert np.array_equal(a.mispredict_mask, b.mispredict_mask)
+    assert getattr(a, "cycles", None) == getattr(b, "cycles", None)
 
 
 class TestEquivalenceAcrossWorkloads:
@@ -295,7 +297,7 @@ class TestRunnerFallback:
 
     def _cells(self):
         return [
-            SweepCell("perl", config, collect_mask=True)
+            SweepCell("perl", config, MachineConfig())
             for config in (VECTOR_CONFIGS[2], FALLBACK_CONFIGS[0],
                            VECTOR_CONFIGS[9], FALLBACK_CONFIGS[2],
                            EngineConfig())
