@@ -9,9 +9,10 @@ that contract *silently* — cached and fresh runs diverge with no error.
 
 Rules (checked inside ``predictors/``, ``pipeline/``, ``runner/``,
 ``obs/`` — telemetry must not perturb results, so its few legitimate
-wall-clock/environment reads carry explicit suppressions — and
+wall-clock/environment reads carry explicit suppressions —
 ``guest/lowering``, where any nondeterminism would fork the emitted code
-out from under the trace fingerprint):
+out from under the trace fingerprint, and ``store.py``, which holds the
+cached results):
 
 ``det-unseeded-random``
     Module-level ``random.*`` / ``numpy.random.*`` calls.  Seeded generator
@@ -45,7 +46,8 @@ Impurity = Tuple[str, int, str]
 #: lowerings are in scope because a lowering must be a pure function of
 #: the switch spec: an RNG or environment read there would let the *same*
 #: workload fingerprint produce different code across runs.
-SCOPE = ("predictors/", "pipeline/", "runner/", "obs/", "guest/lowering")
+SCOPE = ("predictors/", "pipeline/", "runner/", "obs/", "guest/lowering",
+         "store.py")
 
 _WALL_CLOCK = frozenset(
     {
@@ -178,7 +180,7 @@ class DeterminismChecker:
     name = "determinism"
     description = (
         "unseeded RNG, wall-clock, os.environ, and set-iteration hazards in "
-        "predictors/, pipeline/, runner/, obs/, and guest/lowering"
+        "predictors/, pipeline/, runner/, obs/, guest/lowering and store.py"
     )
 
     def __init__(self, scope: Sequence[str] = SCOPE) -> None:

@@ -28,6 +28,7 @@ from repro.obs.bootstrap import (
     bootstrap,
     get_sink,
     install,
+    parse_switch,
     shutdown,
 )
 from repro.obs.core import NULL_SINK, NULL_SPAN, NullSink, NullSpan, Sink, Span
@@ -57,6 +58,7 @@ __all__ = [
     "format_summary",
     "get_sink",
     "install",
+    "parse_switch",
     "read_ledger",
     "shutdown",
     "summarize",

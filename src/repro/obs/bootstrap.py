@@ -11,8 +11,8 @@ records unless the CLI (or a library user) opts in.
 * unset / ``0`` / ``off`` / ``no`` / ``false`` — disabled;
 * ``1`` / ``on`` / ``true`` / ``yes`` — ledger at ``repro_ledger.jsonl``
   in the current directory;
-* anything else — treated as the ledger path itself (mirroring
-  ``REPRO_RESULT_CACHE``).
+* anything else — treated as the ledger path itself (``REPRO_RESULT_CACHE``
+  follows the same rule through :func:`parse_switch`).
 
 The CLI's ``--no-obs`` wins over everything, and ``--obs-ledger FILE``
 wins over the environment; both funnel through :func:`bootstrap`.
@@ -36,6 +36,16 @@ _OFF_VALUES = {"", "0", "off", "no", "false"}
 _ON_VALUES = {"1", "on", "true", "yes"}
 
 _SINK: Sink = NULL_SINK
+
+
+def parse_switch(value: str, default: str) -> Optional[str]:
+    """An off / on / path switch such as ``REPRO_OBS``: ``None`` when off,
+    ``default`` when on (as listed above), else ``value`` itself as a path.
+    """
+    lowered = value.strip().lower()
+    if lowered in _OFF_VALUES:
+        return None
+    return default if lowered in _ON_VALUES else value
 
 
 def get_sink() -> Sink:
@@ -90,12 +100,7 @@ def bootstrap(ledger: Optional[Union[str, os.PathLike[str]]] = None,
         sink = LedgerSink(ledger)
     else:
         value = os.environ.get("REPRO_OBS", "")  # repro-lint: ignore[det-env-read]
-        lowered = value.strip().lower()
-        if lowered in _OFF_VALUES:
-            sink = NULL_SINK
-        elif lowered in _ON_VALUES:
-            sink = LedgerSink(DEFAULT_LEDGER)
-        else:
-            sink = LedgerSink(value)
+        path = parse_switch(value, DEFAULT_LEDGER)
+        sink = NULL_SINK if path is None else LedgerSink(path)
     install(sink)
     return sink

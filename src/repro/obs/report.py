@@ -4,9 +4,9 @@ Two consumers live here:
 
 * :func:`summarize` / :func:`format_summary` — read a merged JSONL run
   ledger and produce the operational picture: per-phase wall-clock
-  breakdown, result-cache hit rate, the slowest sweep cells, and pool
-  worker utilization (busy time of worker-recorded cell spans over the
-  pool's wall-clock window).
+  breakdown, result- and trace-cache hit rates, the slowest sweep cells,
+  and pool worker utilization (busy time of worker-recorded cell spans
+  over the pool's wall-clock window).
 * :func:`compare_bench` / :func:`format_compare` — diff two
   ``BENCH_sweep.json`` payloads (see :mod:`repro.bench`) and flag any
   per-cell timing metric that regressed by more than a threshold.  The
@@ -124,7 +124,10 @@ def summarize(records: List[Dict[str, Any]], top: int = 10) -> Dict[str, Any]:
         "counters": dict(sorted(counters.items())),
         "gauges": dict(sorted(gauges.items())),
         "occurrences": dict(sorted(occurrences.items())),
-        "cache": _cache_rates(counters),
+        # Cell-level result-cache rate, file-level counters as fallback.
+        "cache": _cache_rates(counters, "runner.cell_cache",
+                              "result_cache.load"),
+        "trace_cache": _cache_rates(counters, "trace_cache.load"),
         "cells": {
             "count": len(cells),
             "total_s": sum(float(r.get("dur", 0.0)) for r in cells),
@@ -139,22 +142,18 @@ def summarize(records: List[Dict[str, Any]], top: int = 10) -> Dict[str, Any]:
     return summary
 
 
-def _cache_rates(counters: Dict[str, int]) -> Optional[Dict[str, Any]]:
-    """Cell-level result-cache hit rate (file-level counters as fallback)."""
-    for hit_name, miss_name in (
-        ("runner.cell_cache.hit", "runner.cell_cache.miss"),
-        ("result_cache.load.hit", "result_cache.load.miss"),
-    ):
-        hits = counters.get(hit_name)
-        misses = counters.get(miss_name)
-        if hits is None and misses is None:
-            continue
-        hits = hits or 0
-        misses = misses or 0
-        total = hits + misses
-        return {"hits": hits, "misses": misses,
-                "hit_rate": hits / total if total else 0.0,
-                "source": hit_name.rsplit(".", 1)[0]}
+def _cache_rates(counters: Dict[str, int],
+                 *sources: str) -> Optional[Dict[str, Any]]:
+    """Hit rate from the first ``<source>.hit`` / ``<source>.miss`` pair
+    present in ``counters``, or ``None`` if none is."""
+    for source in sources:
+        if f"{source}.hit" in counters or f"{source}.miss" in counters:
+            hits = counters.get(f"{source}.hit", 0)
+            misses = counters.get(f"{source}.miss", 0)
+            total = hits + misses
+            return {"hits": hits, "misses": misses,
+                    "hit_rate": hits / total if total else 0.0,
+                    "source": source}
     return None
 
 
@@ -186,12 +185,14 @@ def format_summary(summary: Dict[str, Any]) -> str:
                 f"  {phase['name']:<24} {phase['total_s']:>9.3f}s  "
                 f"x{phase['count']:<6} ({phase['mean_s'] * 1e3:.2f} ms avg)"
             )
-    cache = summary["cache"]
-    if cache is not None:
-        lines.append(
-            f"result cache: {cache['hits']} hit(s) / {cache['misses']} "
-            f"miss(es) ({cache['hit_rate']:.1%} hit rate, {cache['source']})"
-        )
+    for label, key in (("result cache", "cache"),
+                       ("trace cache", "trace_cache")):
+        cache = summary.get(key)
+        if cache is not None:
+            lines.append(
+                f"{label}: {cache['hits']} hit(s) / {cache['misses']} miss(es) "
+                f"({cache['hit_rate']:.1%} hit rate, {cache['source']})"
+            )
     pool = summary["pool"]
     if pool is not None:
         lines.append(

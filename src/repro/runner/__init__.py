@@ -25,12 +25,7 @@ directly for custom sweeps::
     )
 """
 
-from repro.runner.cache import (
-    DEFAULT_CLAIM_TTL_S,
-    ResultCache,
-    default_result_cache_dir,
-    result_cache_enabled,
-)
+from repro.runner.cache import ResultCache
 from repro.runner.keys import (
     CELL_KEY_VERSION,
     cell_key,
@@ -47,6 +42,7 @@ from repro.runner.pool import (
     default_jobs,
     run_cells,
 )
+from repro.store import DEFAULT_CLAIM_TTL_S
 
 __all__ = [
     "BACKENDS",
@@ -59,9 +55,7 @@ __all__ = [
     "cell_key",
     "config_token",
     "default_jobs",
-    "default_result_cache_dir",
     "engine_code_fingerprint",
-    "result_cache_enabled",
     "run_cells",
     "timing_code_fingerprint",
     "timing_key",

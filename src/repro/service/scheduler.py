@@ -15,7 +15,7 @@ levels, in order of cheapness:
    touching the pool (``service.cell.cache_hit``).
 3. **Cross-process claims** — before computing, a shard takes an atomic
    claim file in the cache directory
-   (:meth:`~repro.runner.cache.ResultCache.claim`).  Losing the claim
+   (``ResultCache.claims``, a :class:`~repro.store.Store`).  Losing the claim
    means another server instance sharing the cache directory is already
    computing the cell; the shard parks it and polls the cache instead of
    duplicating the work — which is how N servers split one sweep.
@@ -211,7 +211,7 @@ class ShardScheduler:
                     self.counters["cache_hit"] += 1
                     get_sink().incr("service.cell.cache_hit")
                     return hit
-                if not cache.claim(cell.key, ttl_s=self.claim_ttl_s):
+                if not cache.claims.claim(cell.key, ttl_s=self.claim_ttl_s):
                     # Another server instance owns this cell: park and
                     # poll the shared cache until its store lands (or the
                     # claim goes stale and we take over on a later lap).
@@ -225,7 +225,7 @@ class ShardScheduler:
                 return await self._compute(cell)
             finally:
                 if cache is not None:
-                    cache.release(cell.key)
+                    cache.claims.release(cell.key)
 
     async def _compute(self, cell: _Cell) -> PredictionStats:
         loop = asyncio.get_running_loop()

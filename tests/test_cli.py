@@ -57,7 +57,7 @@ def test_lint_exit_codes(capsys):
     assert "no findings" in capsys.readouterr().out
     assert main(["lint", "--only", "bogus"]) == 2
     err = capsys.readouterr().err
-    assert "bogus" in err and "worker-safety" in err
+    assert "bogus" in err and "valid:" in err and "worker-safety" in err
 
 
 def test_lint_json_schema(capsys):

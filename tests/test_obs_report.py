@@ -102,6 +102,23 @@ class TestSummarize:
         assert cache["hits"] == 3
         assert cache["source"] == "result_cache.load"
 
+    def test_trace_cache_rate_is_reported_beside_the_result_cache(self):
+        records = _SAMPLE + [
+            {"pid": 200, "kind": "counter", "name": "trace_cache.load.hit",
+             "value": 1},
+            {"pid": 100, "kind": "counter", "name": "trace_cache.load.miss",
+             "value": 3},
+        ]
+        summary = summarize(records)
+        assert summary["cache"]["source"] == "runner.cell_cache"
+        traces = summary["trace_cache"]
+        assert (traces["hits"], traces["misses"]) == (1, 3)
+        assert traces["hit_rate"] == pytest.approx(0.25)
+        text = format_summary(summary)
+        assert "result cache: 6 hit(s)" in text
+        assert "trace cache: 1 hit(s) / 3 miss(es) (25.0% hit rate" in text
+        assert summarize(_SAMPLE)["trace_cache"] is None
+
     def test_format_summary_renders_the_key_lines(self):
         text = format_summary(summarize(_SAMPLE))
         assert "2 worker process(es)" in text

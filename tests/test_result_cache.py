@@ -5,6 +5,7 @@ changes the key — and nothing else does.  These tests pin both directions.
 """
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +26,6 @@ from repro.runner import (
     SweepCell,
     cell_key,
     config_token,
-    result_cache_enabled,
     run_cells,
     timing_key,
 )
@@ -141,14 +141,6 @@ class TestResultCacheStore:
         _assert_same_counters(loaded, stats)
         assert loaded.mispredict_mask is None
 
-    def test_corrupt_entry_self_heals(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        path = cache._path("c" * 64)
-        path.parent.mkdir(parents=True)
-        path.write_bytes(b"not an npz archive")
-        assert cache.load("c" * 64) is None
-        assert not path.exists()
-
     def test_missing_key_is_a_miss(self, tmp_path):
         assert ResultCache(tmp_path).load("d" * 64) is None
 
@@ -244,13 +236,29 @@ class TestCacheBehaviourInRunCells:
 
     def test_env_switch_disables_cache(self, monkeypatch):
         monkeypatch.setenv("REPRO_RESULT_CACHE", "0")
-        assert not result_cache_enabled()
         assert ResultCache.from_env() is None
 
     def test_env_default_enables_cache(self, monkeypatch):
         monkeypatch.delenv("REPRO_RESULT_CACHE", raising=False)
-        assert result_cache_enabled()
         assert ResultCache.from_env() is not None
+
+    @pytest.mark.parametrize("value, expected", [
+        ("1", "default"), ("ON", "default"), ("true", "default"),
+        ("yes", "default"), ("0", None), ("custom", "custom"),
+    ])
+    def test_env_values_follow_the_obs_rule(self, monkeypatch, tmp_path,
+                                            value, expected):
+        """Like ``REPRO_OBS``: an off value, an on value, or a directory —
+        an on value never becomes a directory named after itself."""
+        monkeypatch.setenv("HOME", str(tmp_path))
+        monkeypatch.setenv("REPRO_RESULT_CACHE", value)
+        cache = ResultCache.from_env()
+        if expected is None:
+            assert cache is None
+        elif expected == "default":
+            assert cache.directory == tmp_path / ".cache" / "repro-results"
+        else:
+            assert cache.directory == Path(value)
 
 
 class TestCyclesCache:
@@ -278,14 +286,6 @@ class TestCyclesCache:
         assert cache.load_cycles("e" * 64) == 12345
         assert cache.load_cycles("f" * 64) is None
 
-    def test_corrupt_cycles_entry_self_heals(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        path = cache._cycles_path("9" * 64)
-        path.parent.mkdir(parents=True)
-        path.write_text("not json at all")
-        assert cache.load_cycles("9" * 64) is None
-        assert not path.exists()
-
     def test_warm_context_skips_run_timing(self, tmp_path, monkeypatch):
         import repro.runner.pool as pool_mod
         from repro.experiments.common import ExperimentContext
@@ -309,15 +309,16 @@ class TestCyclesCache:
 
 
 class TestTornEntries:
-    """Satellite of the fsync-free write audit: a machine crash after the
-    atomic rename can leave a *torn* (truncated/zero-byte) npz on disk.
-    Such entries must read as evictable misses — never as a crash."""
+    """A machine crash after the atomic rename can leave a *torn*
+    (truncated or zero-byte) npz on disk.  Such entries read as evictable
+    misses, never as a crash.  Other damage, across every artifact kind,
+    is covered in ``tests/test_store.py``."""
 
     def _store_real_entry(self, tmp_path):
         from repro.workloads import get_trace
 
-        trace = get_trace("perl", n_instructions=LENGTH)
-        stats = simulate(trace, EngineConfig())
+        stats = simulate(get_trace("perl", n_instructions=LENGTH),
+                         EngineConfig())
         cache = ResultCache(tmp_path)
         cache.store("e" * 64, stats)
         return cache, cache._path("e" * 64)
@@ -352,34 +353,34 @@ class TestClaims:
 
     def test_claim_is_exclusive_until_released(self, tmp_path):
         cache = ResultCache(tmp_path)
-        assert cache.claim(self.KEY)
-        assert not cache.claim(self.KEY)  # second claimant loses
-        cache.release(self.KEY)
-        assert cache.claim(self.KEY)  # and can win after release
+        assert cache.claims.claim(self.KEY)
+        assert not cache.claims.claim(self.KEY)  # second claimant loses
+        cache.claims.release(self.KEY)
+        assert cache.claims.claim(self.KEY)  # and can win after release
 
     def test_release_is_idempotent(self, tmp_path):
         cache = ResultCache(tmp_path)
-        cache.release(self.KEY)  # releasing an unclaimed key is a no-op
-        assert cache.claim(self.KEY)
-        cache.release(self.KEY)
-        cache.release(self.KEY)
+        cache.claims.release(self.KEY)  # releasing an unclaimed key is a no-op
+        assert cache.claims.claim(self.KEY)
+        cache.claims.release(self.KEY)
+        cache.claims.release(self.KEY)
 
     def test_stale_claim_is_taken_over(self, tmp_path):
         cache = ResultCache(tmp_path)
-        assert cache.claim(self.KEY)
+        assert cache.claims.claim(self.KEY)
         # ttl 0: any existing claim counts as abandoned.
-        assert cache.claim(self.KEY, ttl_s=0.0)
+        assert cache.claims.claim(self.KEY, ttl_s=0.0)
 
     def test_fresh_claim_age_is_small(self, tmp_path):
         cache = ResultCache(tmp_path)
-        assert cache.claim_age(self.KEY) is None
-        cache.claim(self.KEY)
-        age = cache.claim_age(self.KEY)
+        assert cache.claims.claim_age(self.KEY) is None
+        cache.claims.claim(self.KEY)
+        age = cache.claims.claim_age(self.KEY)
         assert age is not None and age < 60.0
 
     def test_two_caches_share_claims_via_directory(self, tmp_path):
         a, b = ResultCache(tmp_path), ResultCache(tmp_path)
-        assert a.claim(self.KEY)
-        assert not b.claim(self.KEY)
-        a.release(self.KEY)
-        assert b.claim(self.KEY)
+        assert a.claims.claim(self.KEY)
+        assert not b.claims.claim(self.KEY)
+        a.claims.release(self.KEY)
+        assert b.claims.claim(self.KEY)

@@ -197,7 +197,7 @@ class TestShardScheduler:
         cache = ResultCache(cache_dir)
         # The dead instance claimed exactly the cell we want to run.
         key = cell_key("perl", CONFIGS[0], TRACE_LENGTH, 1997)
-        assert cache.claim(key)
+        assert cache.claims.claim(key)
 
         async def go():
             with make_pool() as pool:

@@ -66,47 +66,6 @@ def test_cached_trace_generates_once(tmp_path, trace):
     assert first == second == trace
 
 
-def test_cached_trace_regenerates_on_corruption(tmp_path, trace):
-    cached_trace("key", lambda: trace, cache_dir=tmp_path)
-    victim = tmp_path / "key.npz"
-    victim.write_bytes(b"not an npz archive")
-    recovered = cached_trace("key", lambda: trace, cache_dir=tmp_path)
-    assert recovered == trace
-
-
-def _zero_bytes(path):
-    path.write_bytes(b"")
-
-
-def _half_file(path):
-    path.write_bytes(path.read_bytes()[:path.stat().st_size // 2])
-
-
-def _wrong_version(path):
-    data = dict(np.load(path))
-    data["version"] = np.int64(999)
-    with open(path, "wb") as handle:
-        np.savez_compressed(handle, **data)
-
-
-@pytest.mark.parametrize("damage", [_zero_bytes, _half_file, _wrong_version],
-                         ids=["zero-bytes", "half-file", "wrong-version"])
-def test_cached_trace_regenerates_and_rewrites_torn_entry(tmp_path, trace,
-                                                          damage):
-    cached_trace("key", lambda: trace, cache_dir=tmp_path)
-    victim = tmp_path / "key.npz"
-    damage(victim)
-    calls = []
-
-    def generate():
-        calls.append(1)
-        return trace
-
-    assert cached_trace("key", generate, cache_dir=tmp_path) == trace
-    assert calls == [1], "a damaged entry must be regenerated"
-    assert load_trace(victim) == trace, "and rewritten whole"
-
-
 def test_default_cache_dir_honours_env(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "custom"))
     assert default_cache_dir() == tmp_path / "custom"
