@@ -2,19 +2,25 @@
 
 Re-running ``repro all`` re-simulates hundreds of ``(benchmark, config)``
 cells whose inputs have not changed.  This cache makes the second run
-near-free: each cell's stats are stored as one small compressed npz file
-keyed by :func:`repro.runner.keys.cell_key` (trace fingerprint + engine
-config + simulator-code hash), so any change that could alter a result
-misses, and everything else hits.  An entry holds the counters only:
-the per-instruction mispredict mask never reaches the disk.  Cycle
-counts from the timing model, which runs in whichever process simulated
-the cell (:mod:`repro.runner.pool`), are stored alongside as tiny json
-files keyed by :func:`repro.runner.keys.timing_key` (cell key + machine
-config + pipeline-code hash), so a warm re-run skips ``run_timing`` too.
+near-free: each cell's stats are stored as one small json object keyed by
+:func:`repro.runner.keys.cell_key` (trace fingerprint + engine config +
+simulator-code hash), so any change that could alter a result misses, and
+everything else hits.  An entry holds the counters only: the
+per-instruction mispredict mask never reaches the disk.  Cycle counts
+from the timing model, which runs in whichever process simulated the cell
+(:mod:`repro.runner.pool`), are stored alongside, keyed by
+:func:`repro.runner.keys.timing_key` (cell key + machine config +
+pipeline-code hash), so a warm re-run skips ``run_timing`` too.  Both go
+through one version-checked json reader; json of the wrong shape is a
+damaged entry (evicted, a miss).
 
-Stats (``key.npz``), cycles (``key.cycles.json``) and the service's cell
+Stats (``key.json``), cycles (``key.cycles.json``) and the service's cell
 claims (``key.claim``) are three :class:`repro.store.Store` kinds in one
 directory, counted as ``result_cache.*``, ``.cycles.*`` and ``.claim.*``.
+Stats were once npz archives (``key.npz``): those are neither read nor
+deleted, so an older cache re-fills its stats once (its cycles still hit)
+and checkouts sharing a directory ignore, not evict, each other's stats;
+``rm -rf ~/.cache/repro-results`` reclaims the orphaned ``.npz`` files.
 
 ``REPRO_RESULT_CACHE`` follows the ``REPRO_OBS`` rule
 (:func:`repro.obs.parse_switch`): ``0`` / ``off`` / ``no`` / ``false``
@@ -28,66 +34,56 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Optional, Union
-
-import numpy as np
+from typing import Any, Dict, Optional, Union
 
 from repro.guest.isa import BranchKind
 from repro.obs import parse_switch
 from repro.predictors import PredictionStats
+from repro.predictors.engine import KindCounters
 from repro.store import Store, atomic_write
 
 _FORMAT_VERSION = 1
+_KINDS = {kind.value: kind for kind in BranchKind}
+
+
+def _read(path: Path) -> Dict[str, Any]:
+    payload: Dict[str, Any] = json.loads(path.read_bytes())
+    if payload["version"] != _FORMAT_VERSION:
+        raise ValueError("format version mismatch")
+    return payload
+
+
+def _write(fields: Dict[str, object], path: Path) -> None:
+    payload = json.dumps({"version": _FORMAT_VERSION, **fields}).encode()
+    atomic_write(path, lambda handle: handle.write(payload))
+
+
+def _count(value: object) -> int:
+    if type(value) is not int or value < 0:
+        raise ValueError(f"not a count: {value!r}")
+    return value
 
 
 def _load_stats(path: Path) -> PredictionStats:
-    # Entries written by older versions may also hold a packed
-    # mispredict mask; it is never read.
-    with np.load(path) as archive:
-        if int(archive["version"]) != _FORMAT_VERSION:
-            raise ValueError("format version mismatch")
-        stats = PredictionStats(
-            instructions=int(archive["instructions"]),
-            btb_lookups=int(archive["btb_lookups"]),
-            btb_hits=int(archive["btb_hits"]),
-        )
-        for value, executed, mispredicted in zip(
-            archive["kind_values"].tolist(),
-            archive["executed"].tolist(),
-            archive["mispredicted"].tolist(),
-        ):
-            counter = stats.counters(BranchKind(value))
-            counter.executed = executed
-            counter.mispredicted = mispredicted
-        return stats
-
-
-def _save_stats(stats: PredictionStats, path: Path) -> None:
-    kinds = sorted(stats.per_kind, key=lambda kind: kind.value)
-    counters = [stats.per_kind[kind] for kind in kinds]
-    payload = dict(
-        version=np.int64(_FORMAT_VERSION),
-        instructions=np.int64(stats.instructions),
-        btb_lookups=np.int64(stats.btb_lookups),
-        btb_hits=np.int64(stats.btb_hits),
-        kind_values=np.array([k.value for k in kinds], dtype=np.int64),
-        executed=np.array([c.executed for c in counters], dtype=np.int64),
-        mispredicted=np.array([c.mispredicted for c in counters],
-                              dtype=np.int64),
+    payload = _read(path)
+    return PredictionStats(
+        instructions=_count(payload["instructions"]),
+        btb_lookups=_count(payload["btb_lookups"]),
+        btb_hits=_count(payload["btb_hits"]),
+        per_kind={_KINDS[kind]: KindCounters(_count(ex), _count(mis))
+                  for kind, ex, mis in payload["kinds"]},
     )
-    atomic_write(path, lambda handle: np.savez_compressed(handle, **payload))
+
+
+def _stats_fields(stats: PredictionStats) -> Dict[str, object]:
+    return dict(instructions=int(stats.instructions),
+                btb_lookups=int(stats.btb_lookups), btb_hits=int(stats.btb_hits),
+                kinds=[[kind.value, int(c.executed), int(c.mispredicted)]
+                       for kind, c in sorted(stats.per_kind.items())])
 
 
 def _load_cycles(path: Path) -> int:
-    payload = json.loads(path.read_text())
-    if payload["version"] != _FORMAT_VERSION:
-        raise ValueError("format version mismatch")
-    return int(payload["cycles"])
-
-
-def _save_cycles(cycles: int, path: Path) -> None:
-    payload = json.dumps({"version": _FORMAT_VERSION, "cycles": int(cycles)})
-    atomic_write(path, lambda handle: handle.write(payload.encode()))
+    return _count(_read(path)["cycles"])
 
 
 class ResultCache:
@@ -95,7 +91,7 @@ class ResultCache:
 
     def __init__(self, directory: Union[str, Path]) -> None:
         self.directory = Path(directory)
-        self._stats = Store(self.directory, "result_cache", ".npz")
+        self._stats = Store(self.directory, "result_cache", ".json")
         self._cycles = Store(self.directory, "result_cache.cycles", ".cycles.json")
         #: Cell claims across service instances (:meth:`Store.claim`).
         self.claims = Store(self.directory, "result_cache.claim", ".claim")
@@ -120,11 +116,11 @@ class ResultCache:
         return self._stats.read(key, _load_stats)
 
     def store(self, key: str, stats: PredictionStats) -> None:
-        self._stats.write(key, stats, _save_stats)
+        self._stats.write(key, _stats_fields(stats), _write)
 
     def load_cycles(self, key: str) -> Optional[int]:
         """Cached cycle count under a :func:`~repro.runner.keys.timing_key`."""
         return self._cycles.read(key, _load_cycles)
 
     def store_cycles(self, key: str, cycles: int) -> None:
-        self._cycles.write(key, cycles, _save_cycles)
+        self._cycles.write(key, {"cycles": int(cycles)}, _write)

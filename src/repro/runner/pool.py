@@ -64,7 +64,7 @@ from concurrent.futures import (
 )
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple, TypeVar
 
 import numpy.typing as npt
 
@@ -428,21 +428,21 @@ def run_cells(cells: Sequence[SweepCell], jobs: Optional[int] = None, *,
             cycles,
         ))
 
-    if pending:
-        computed = _compute([item[0] for item in pending], jobs,
-                            trace_length, seed, use_trace_cache,
-                            trace_provider, backend)
-        for (_, indices, key, cycles_key, cycles), stats in zip(pending,
-                                                                computed):
-            if result_cache is not None and key is not None:
-                result_cache.store(key, stats)
-            if result_cache is not None and cycles_key is not None:
-                assert isinstance(stats, TimedStats)
-                result_cache.store_cycles(cycles_key, stats.cycles)
-            if cycles is not None:
-                stats = _timed(stats, cycles)
-            for i in indices:
-                results[i] = stats
+    # Each result is stored as it arrives, so an interrupted sweep keeps
+    # every cell that finished.
+    for position, stats in _compute([item[0] for item in pending], jobs,
+                                    trace_length, seed, use_trace_cache,
+                                    trace_provider, backend):
+        _, indices, key, cycles_key, cycles = pending[position]
+        if result_cache is not None and key is not None:
+            result_cache.store(key, stats)
+        if result_cache is not None and cycles_key is not None:
+            assert isinstance(stats, TimedStats)
+            result_cache.store_cycles(cycles_key, stats.cycles)
+        if cycles is not None:
+            stats = _timed(stats, cycles)
+        for i in indices:
+            results[i] = stats
     return results  # type: ignore[return-value]
 
 
@@ -450,8 +450,12 @@ def _compute(pending: List[SweepCell], jobs: int,
              trace_length: int, seed: int, use_trace_cache: bool,
              trace_provider: Optional[Callable[[str], Trace]],
              backend: str = "auto"
-             ) -> List[PredictionStats]:
-    """Run ``pending`` cells, in order, serially or via the pool."""
+             ) -> Iterator[Tuple[int, PredictionStats]]:
+    """Run ``pending`` cells serially or via the pool.
+
+    Yields ``(position in pending, stats)`` as each cell finishes: per
+    cell on the serial path, per completed chunk on the pool path.
+    """
     by_benchmark: Dict[str, List[_Item]] = {}
     for position, cell in enumerate(pending):
         by_benchmark.setdefault(cell.benchmark, []).append(
@@ -459,14 +463,13 @@ def _compute(pending: List[SweepCell], jobs: int,
         )
 
     sink = get_sink()
-    out: List[Optional[PredictionStats]] = [None] * len(pending)
-    if jobs <= 1 or len(pending) == 1:
+    if jobs <= 1 or len(pending) <= 1:
         for benchmark, items in by_benchmark.items():
             memo = _Memo(trace_length, seed, use_trace_cache, backend,
                          trace_provider)
             for position, config, machine in items:
-                out[position] = _run_cell(memo, benchmark, config, machine)
-        return out  # type: ignore[return-value]
+                yield position, _run_cell(memo, benchmark, config, machine)
+        return
 
     # Parallel path: make sure each trace exists on disk exactly once
     # before forking, so workers load rather than regenerate it.
@@ -485,6 +488,7 @@ def _compute(pending: List[SweepCell], jobs: int,
     for benchmark, chunk in chunks:
         sink.event("pool.chunk", benchmark=benchmark, cells=len(chunk))
     pool_broke = False
+    finished: Set[int] = set()
     try:
         with sink.span("pool.run", jobs=workers, chunks=len(chunks),
                        cells=len(pending)):
@@ -506,7 +510,8 @@ def _compute(pending: List[SweepCell], jobs: int,
                     ]
                     for future in as_completed(futures):
                         for position, stats in future.result():
-                            out[position] = stats
+                            finished.add(position)
+                            yield position, stats
                 except BrokenProcessPool as exc:
                     # A worker died mid-sweep (OOM killer, signal, crash).
                     # Chunks that already returned are kept; everything
@@ -522,16 +527,16 @@ def _compute(pending: List[SweepCell], jobs: int,
         warnings.warn(
             f"process pool unavailable ({exc}); running sweep serially"
         )
-        return _compute(pending, 1, trace_length, seed, use_trace_cache,
-                        trace_provider, backend)
+        yield from _compute(pending, 1, trace_length, seed, use_trace_cache,
+                            trace_provider, backend)
+        return
     if pool_broke:
-        remaining = [i for i, stats in enumerate(out) if stats is None]
+        remaining = [i for i in range(len(pending)) if i not in finished]
         sink.event("pool.recovery", cells=len(remaining))
-        redone = _compute([pending[i] for i in remaining], 1, trace_length,
-                          seed, use_trace_cache, trace_provider, backend)
-        for i, stats in zip(remaining, redone):
-            out[i] = stats
-    return out  # type: ignore[return-value]
+        for i, stats in _compute([pending[i] for i in remaining], 1,
+                                 trace_length, seed, use_trace_cache,
+                                 trace_provider, backend):
+            yield remaining[i], stats
 
 
 # ----------------------------------------------------------------------

@@ -86,8 +86,10 @@ class Store:
             value = load(path)
         # What a missing, corrupt, torn or stale entry may raise: a
         # truncated npz ``zipfile.BadZipFile`` or ``EOFError`` depending on
-        # where the bytes stop, a mangled json payload ``TypeError``, a
-        # format-version mismatch ``ValueError``.
+        # where the bytes stop; a torn json entry ``json.JSONDecodeError``
+        # (a ``ValueError``), and json of the wrong shape ``KeyError``,
+        # ``TypeError`` or ``ValueError``; a format-version mismatch
+        # ``ValueError``.
         except (ValueError, OSError, KeyError, TypeError, EOFError,
                 zipfile.BadZipFile) as error:
             if not isinstance(error, FileNotFoundError):
@@ -118,6 +120,13 @@ class Store:
         is broken by the next claimer — losing a claim therefore delays a
         cell, never loses it.  Claims gate *who computes*, not *what* the
         result is, so they are invisible in the cached bytes.
+
+        At most one claimer wins, as breaking is exclusive: breakers of a
+        stale claim race to hard-link it under a name fixed by its inode
+        and change time, and only the one whose link succeeds removes it.
+        The link renews the change time, which ages claims, so a claim
+        being broken is fresh to later breakers (and stale again after
+        ``ttl_s``, under a new link name, if its breaker died).
         """
         path = self.path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -125,15 +134,8 @@ class Store:
             try:
                 fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
             except FileExistsError:
-                age = self.claim_age(key)
-                if age is not None and age <= ttl_s:
-                    get_sink().incr(f"{self.name}.lost")
-                    return False
-                # Stale claim (holder died without releasing): break it.
-                # Concurrent breakers both unlink, then O_EXCL arbitrates
-                # the retry, so at most one claimer wins.
-                path.unlink(missing_ok=True)
-                get_sink().incr(f"{self.name}.broken")
+                if not self._break_stale(path, ttl_s):
+                    break
                 continue
             with os.fdopen(fd, "w") as handle:
                 handle.write(json.dumps({"pid": os.getpid()}))
@@ -142,6 +144,30 @@ class Store:
         get_sink().incr(f"{self.name}.lost")
         return False
 
+    def _break_stale(self, path: Path, ttl_s: float) -> bool:
+        """Remove the claim at ``path`` if stale; False if it stands."""
+        try:
+            seen = path.stat()
+        except FileNotFoundError:
+            return True
+        if _age(seen) <= ttl_s:
+            return False
+        marker = path.with_name(f"{path.name}.{seen.st_ino}.{seen.st_ctime_ns}.break")
+        try:
+            os.link(path, marker)
+        except FileExistsError:  # another claimer is breaking it
+            return False
+        except FileNotFoundError:  # released meanwhile
+            return True
+        # The link took whatever ``path`` held by then: remove that only
+        # if it is still the claim judged stale.
+        linked = marker.stat()
+        if (linked.st_ino, linked.st_mtime_ns) == (seen.st_ino, seen.st_mtime_ns):
+            path.unlink(missing_ok=True)
+            get_sink().incr(f"{self.name}.broken")
+        marker.unlink()
+        return True
+
     def release(self, key: str) -> None:
         """Drop a claim taken by :meth:`claim` (idempotent)."""
         self.path(key).unlink(missing_ok=True)
@@ -149,9 +175,13 @@ class Store:
     def claim_age(self, key: str) -> Optional[float]:
         """Seconds since ``key`` was claimed, or ``None`` if unclaimed."""
         try:
-            mtime = self.path(key).stat().st_mtime
+            return _age(self.path(key).stat())
         except OSError:
             return None
-        # Claim freshness is a scheduling hint between live processes;
-        # results never read it (claims only decide who computes a cell).
-        return max(0.0, time.time() - mtime)  # repro-lint: ignore[det-wall-clock]
+
+
+def _age(claim: os.stat_result) -> float:
+    # Read from the change time, which a break's link renews.  Claim
+    # freshness is a scheduling hint between live processes; results
+    # never read it (claims only decide who computes a cell).
+    return max(0.0, time.time() - claim.st_ctime)  # repro-lint: ignore[det-wall-clock]

@@ -5,6 +5,8 @@ changes the key — and nothing else does.  These tests pin both directions.
 """
 
 import dataclasses
+import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +19,7 @@ from repro.predictors import (
     EngineConfig,
     HistoryConfig,
     HistorySource,
+    PredictionStats,
     TargetCacheConfig,
     simulate,
 )
@@ -91,8 +94,8 @@ def _assert_same_counters(a, b):
         assert a.counters(kind).mispredicted == b.counters(kind).mispredicted
 
 
-#: Arrays only the old, mask-carrying entry layout wrote.
-_MASK_ARRAYS = {"has_mask", "mask_packed", "mask_length"}
+#: The fields of a stats entry: counters only, never a mispredict mask.
+_ENTRY_FIELDS = {"version", "instructions", "btb_lookups", "btb_hits", "kinds"}
 
 
 class TestResultCacheStore:
@@ -115,31 +118,51 @@ class TestResultCacheStore:
         stats = simulate(trace, EngineConfig(), collect_mask=True)
         cache = ResultCache(tmp_path)
         cache.store("b" * 64, stats)
-        with np.load(cache._path("b" * 64)) as archive:
-            assert not _MASK_ARRAYS & set(archive.files)
+        entry = json.loads(cache._path("b" * 64).read_text())
+        assert set(entry) == _ENTRY_FIELDS
 
-    def test_mask_carrying_entry_loads_identical_stats(self, tmp_path):
-        """An entry in the old layout (counters plus a packed mask) is
-        still a hit: the reader ignores the mask arrays."""
-        from repro.workloads import get_trace
-
-        trace = get_trace("perl", n_instructions=LENGTH)
-        stats = simulate(trace, EngineConfig(), collect_mask=True)
+    def test_npz_entry_of_the_old_format_is_neither_read_nor_deleted(
+            self, tmp_path):
+        """Stats entries were once npz archives beside today's json ones:
+        a directory shared with an older checkout keeps both."""
+        stats = PredictionStats(instructions=100, btb_lookups=10, btb_hits=7)
+        stats.counters(BranchKind.IND_JUMP).executed = 4
         cache = ResultCache(tmp_path)
-        cache.store("b" * 64, stats)
-        path = cache._path("b" * 64)
-        with np.load(path) as archive:
-            payload = dict(archive)
-        mask = stats.mispredict_mask
-        payload.update(has_mask=np.bool_(True),
-                       mask_packed=np.packbits(mask),
-                       mask_length=np.int64(len(mask)))
-        with open(path, "wb") as handle:
-            np.savez_compressed(handle, **payload)
-        loaded = cache.load("b" * 64)
-        assert loaded is not None
-        _assert_same_counters(loaded, stats)
-        assert loaded.mispredict_mask is None
+        old = cache._path("c" * 64).with_suffix(".npz")
+        old.parent.mkdir(parents=True)
+        np.savez_compressed(
+            old, version=np.int64(1), instructions=np.int64(100),
+            btb_lookups=np.int64(10), btb_hits=np.int64(7),
+            kind_values=np.array([BranchKind.IND_JUMP.value]),
+            executed=np.array([4]), mispredicted=np.array([0]))
+        before = old.read_bytes()
+        assert cache.load("c" * 64) is None
+        cache.store("c" * 64, stats)
+        assert cache.load("c" * 64) == stats
+        assert old.read_bytes() == before
+
+    @pytest.mark.parametrize("change", [
+        {"btb_hits": None},  # None drops the field
+        {"kinds": [[99, 4, 1]]},
+        {"kinds": 5},
+        {"kinds": [[6, 4]]},
+        {"kinds": [6, 4, 1]},
+        {"kinds": {"641": 0}},
+        {"kinds": [[6, "4", 1]]},
+        {"instructions": -1},
+    ], ids=["missing-field", "unknown-kind", "kinds-not-a-list",
+            "pair-not-triple", "flat-list", "object", "string-count",
+            "negative-count"])
+    def test_json_of_the_wrong_shape_is_an_evicted_miss(self, tmp_path,
+                                                        change):
+        cache = ResultCache(tmp_path)
+        cache.store("d" * 64, PredictionStats(instructions=100))
+        path = cache._path("d" * 64)
+        entry = {**json.loads(path.read_text()), **change}
+        path.write_text(json.dumps(
+            {k: v for k, v in entry.items() if v is not None}))
+        assert cache.load("d" * 64) is None
+        assert not path.exists(), "a wrong-shape entry must be evicted"
 
     def test_missing_key_is_a_miss(self, tmp_path):
         assert ResultCache(tmp_path).load("d" * 64) is None
@@ -180,11 +203,45 @@ class TestCacheBehaviourInRunCells:
         cache = ResultCache(tmp_path / "results")
         run_cells([SweepCell("perl", EngineConfig(), MachineConfig())],
                   jobs=1, trace_length=LENGTH, result_cache=cache)
-        entries = list(cache.directory.rglob("*.npz"))
+        entries = [path for path in cache.directory.rglob("*.json")
+                   if not path.name.endswith(".cycles.json")]
         assert len(entries) == 1
         assert len(list(cache.directory.rglob("*.cycles.json"))) == 1
-        with np.load(entries[0]) as archive:
-            assert not _MASK_ARRAYS & set(archive.files)
+        assert set(json.loads(entries[0].read_text())) == _ENTRY_FIELDS
+
+    def test_interrupted_sweep_keeps_its_finished_cells(self, tmp_path,
+                                                        monkeypatch):
+        import repro.runner.pool as pool_mod
+        from repro.workloads import get_trace
+
+        cache = ResultCache(tmp_path)
+        configs = [EngineConfig(),
+                   EngineConfig(target_cache=TargetCacheConfig(kind="tagless"))]
+        cells = [SweepCell(benchmark, config)
+                 for benchmark in ("perl", "gcc") for config in configs]
+
+        def perl_only(benchmark):
+            if benchmark != "perl":
+                raise RuntimeError("crashed before gcc")
+            return get_trace(benchmark, n_instructions=LENGTH)
+
+        with pytest.raises(RuntimeError):
+            run_cells(cells, jobs=1, trace_length=LENGTH, result_cache=cache,
+                      trace_provider=perl_only)
+        for config in configs:
+            assert cache.load(key(config, "perl")) is not None
+            assert cache.load(key(config, "gcc")) is None
+
+        simulated = []
+        real_run_cell = pool_mod._run_cell
+
+        def recording(memo, benchmark, *args):
+            simulated.append(benchmark)
+            return real_run_cell(memo, benchmark, *args)
+
+        monkeypatch.setattr(pool_mod, "_run_cell", recording)
+        run_cells(cells, jobs=1, trace_length=LENGTH, result_cache=cache)
+        assert simulated == ["gcc", "gcc"]
 
     def test_stats_hit_with_cycles_miss_stores_only_cycles(
             self, tmp_path, monkeypatch):
@@ -310,7 +367,7 @@ class TestCyclesCache:
 
 class TestTornEntries:
     """A machine crash after the atomic rename can leave a *torn*
-    (truncated or zero-byte) npz on disk.  Such entries read as evictable
+    (truncated or zero-byte) entry on disk.  Such entries read as evictable
     misses, never as a crash.  Other damage, across every artifact kind,
     is covered in ``tests/test_store.py``."""
 
@@ -384,3 +441,32 @@ class TestClaims:
         assert not b.claims.claim(self.KEY)
         a.claims.release(self.KEY)
         assert b.claims.claim(self.KEY)
+
+    @pytest.mark.parametrize("cut_in_at", ["stat", "unlink"])
+    def test_one_of_two_breakers_of_a_stale_claim_wins(
+            self, tmp_path, monkeypatch, cut_in_at):
+        """Two claimers find the same stale claim: a rival runs its whole
+        claim right after the first breaker's ``stat`` of the claim, or
+        right before that breaker's ``unlink`` of it.  Exactly one wins."""
+        cache = ResultCache(tmp_path)
+        assert cache.claims.claim(self.KEY)
+        path = cache.claims.path(self.KEY)
+        time.sleep(0.3)  # stale under a 0.2 s TTL
+        real = getattr(Path, cut_in_at)
+        rival = []
+
+        def interleaved(self_, *args, **kwargs):
+            if self_ != path or rival:
+                return real(self_, *args, **kwargs)
+            rival.append(None)
+            if cut_in_at == "unlink":
+                rival[0] = cache.claims.claim(self.KEY, ttl_s=0.2)
+                return real(self_, *args, **kwargs)
+            result = real(self_, *args, **kwargs)
+            rival[0] = cache.claims.claim(self.KEY, ttl_s=0.2)
+            return result
+
+        monkeypatch.setattr(Path, cut_in_at, interleaved)
+        first = cache.claims.claim(self.KEY, ttl_s=0.2)
+        assert len(rival) == 1, "the rival must have run"
+        assert sorted([first, rival[0]]) == [False, True]
