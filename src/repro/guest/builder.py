@@ -106,6 +106,8 @@ class ProgramBuilder:
                  lowering: Optional[str] = None) -> None:
         self._code: List[Instruction] = []
         self._labels: Dict[str, int] = {}
+        #: stem -> index :meth:`unique_label` last returned for it.
+        self._label_cursor: Dict[str, int] = {}
         self._fixups: List[_Fixup] = []
         self._data: Dict[int, Union[int, float]] = {}
         self._data_base = data_base
@@ -131,12 +133,19 @@ class ProgramBuilder:
         return self.here
 
     def unique_label(self, stem: str) -> str:
-        """Return a label name guaranteed not to collide, without defining it."""
-        index = 0
+        """Return a label name guaranteed not to collide, without defining it.
+
+        The name is ``f"{stem}_{i}"`` for the smallest free ``i``.  Labels
+        are never removed, so that index only grows: probing resumes at
+        the index last returned for ``stem`` instead of at 0, which keeps
+        a program with thousands of same-stem labels linear to build.
+        """
+        index = self._label_cursor.get(stem, 0)
         name = f"{stem}_{index}"
         while name in self._labels:
             index += 1
             name = f"{stem}_{index}"
+        self._label_cursor[stem] = index
         return name
 
     # ------------------------------------------------------------------

@@ -26,7 +26,7 @@ converts into numpy arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 #: Integer results of multiplicative and shift ops wrap to 64 bits, like
 #: hardware registers; without this a squaring chain would grow a Python
@@ -36,6 +36,7 @@ _WORD_MASK = (1 << 64) - 1
 from repro.guest.isa import (
     INSTRUCTION_BYTES,
     NUM_REGISTERS,
+    OP_CLASS,
     GuestProgram,
     Op,
 )
@@ -43,6 +44,16 @@ from repro.guest.isa import (
 
 class VMError(Exception):
     """Raised on guest faults: bad pc, misaligned access, stack underflow."""
+
+
+#: Instructions :meth:`VM.run` retires per call of its inner loop.
+_SLICE = 2048
+
+#: Opcode -> the same opcode as an exact int, for the loop's int compares.
+_OP_INT: List[int] = [int(op) for op in sorted(Op)]
+
+#: Opcode -> timing class, as plain ints indexed by opcode.
+_OP_CLASS: List[int] = [int(OP_CLASS[op]) for op in sorted(Op)]
 
 
 @dataclass
@@ -109,10 +120,41 @@ class VM:
     def run(self) -> RawTrace:
         """Execute until HALT, a fault, or the instruction cap."""
         trace = RawTrace()
+        pc = self.pc
+        remaining = self.max_instructions - self.retired
+        # -1 is never a valid pc, so a disabled stop point costs one integer
+        # compare per instruction instead of a None check.
+        stop_pc = -1 if self.stop_pc is None else self.stop_pc
+        stop_visits = self.stop_visits
+        # The loop runs in slices: CPython 3.11 specialises a function's
+        # bytecode only from its 8th call, so one call per run would leave
+        # a process's first seven traces on generic bytecode (about 2x
+        # slower).
+        while remaining > 0:
+            budget = min(remaining, _SLICE)
+            pc, left, stop_visits = self._execute(
+                trace, pc, budget, stop_pc, stop_visits)
+            remaining -= budget - left
+            if left:  # stopped at stop_pc or HALT before the budget ran out
+                break
+        self.pc = pc
+        self.retired = self.max_instructions - remaining
+        return trace
+
+    def _execute(self, trace: RawTrace, pc: int, remaining: int,
+                 stop_pc: int, stop_visits: int) -> Tuple[int, int, int]:
+        """Retire up to ``remaining`` instructions from ``pc``.
+
+        Returns ``(pc, instructions left of remaining, stop_visits)``;
+        instructions are left only when execution stopped early.
+        """
         code = self.program.code
+        op_int = _OP_INT
+        op_class = _OP_CLASS
         regs = self.registers
         memory = self.memory
         call_stack = self.call_stack
+        call_stack_limit = self.call_stack_limit
         ibytes = INSTRUCTION_BYTES
         n_code = len(code)
 
@@ -126,12 +168,24 @@ class VM:
         dst_list = trace.dst
         addr_list = trace.mem_addr
 
-        pc = self.pc
-        remaining = self.max_instructions - self.retired
-        # -1 is never a valid pc, so a disabled stop point costs one integer
-        # compare per instruction instead of a None check.
-        stop_pc = -1 if self.stop_pc is None else self.stop_pc
-        stop_visits = self.stop_visits
+        # Opcodes as plain-int locals: an int compares against an int
+        # local far faster than against an IntEnum member.
+        ADD, SUB, AND, OR, XOR, SLT = (
+            int(Op.ADD), int(Op.SUB), int(Op.AND), int(Op.OR), int(Op.XOR),
+            int(Op.SLT))
+        ADDI, LI, MUL, DIV, MOD = (
+            int(Op.ADDI), int(Op.LI), int(Op.MUL), int(Op.DIV), int(Op.MOD))
+        FADD, FSUB, FMUL, FDIV = (
+            int(Op.FADD), int(Op.FSUB), int(Op.FMUL), int(Op.FDIV))
+        SHL, SHR, SHLI, SHRI, ANDI, XORI = (
+            int(Op.SHL), int(Op.SHR), int(Op.SHLI), int(Op.SHRI),
+            int(Op.ANDI), int(Op.XORI))
+        LOAD, STORE = int(Op.LOAD), int(Op.STORE)
+        BEQ, BNE, BLT, BGE, JMP = (
+            int(Op.BEQ), int(Op.BNE), int(Op.BLT), int(Op.BGE), int(Op.JMP))
+        CALL, CALLR, RET, JR, HALT = (
+            int(Op.CALL), int(Op.CALLR), int(Op.RET), int(Op.JR),
+            int(Op.HALT))
 
         while remaining > 0:
             if pc == stop_pc:
@@ -142,7 +196,7 @@ class VM:
             if not 0 <= index < n_code:
                 raise VMError(f"pc {pc:#x} outside code segment")
             ins = code[index]
-            op = ins.op
+            op = op_int[ins.op]
             rd = ins.rd
             rs1 = ins.rs1
             rs2 = ins.rs2
@@ -154,117 +208,119 @@ class VM:
             mem_addr = 0
             kind = 0  # BranchKind.NOT_BRANCH
 
-            if op == Op.ADD:
-                regs[rd] = regs[rs1] + regs[rs2]
-            elif op == Op.ADDI:
+            # Most frequent opcodes first (dynamic mix over every
+            # registered workload); the order changes no semantics.
+            if op == ADDI:
                 regs[rd] = regs[rs1] + imm
-            elif op == Op.LI:
+            elif op == ANDI:
+                regs[rd] = int(regs[rs1]) & imm
+            elif op == LI:
                 regs[rd] = imm
-            elif op == Op.LOAD:
+            elif op == LOAD:
                 mem_addr = int(regs[rs1]) + imm
                 regs[rd] = memory.get(mem_addr, 0)
-            elif op == Op.STORE:
-                mem_addr = int(regs[rs1]) + imm
-                memory[mem_addr] = regs[rs2]
-            elif op == Op.BEQ:
+            elif op == SHRI:
+                regs[rd] = int(regs[rs1]) >> (imm & 63)
+            elif op == ADD:
+                regs[rd] = regs[rs1] + regs[rs2]
+            elif op == SHLI:
+                regs[rd] = (int(regs[rs1]) << (imm & 63)) & _WORD_MASK
+            elif op == BLT:
                 kind = 1  # COND_DIRECT
-                target = imm
-                if regs[rs1] == regs[rs2]:
-                    taken = 1
-                    next_pc = imm
-            elif op == Op.BNE:
-                kind = 1
-                target = imm
-                if regs[rs1] != regs[rs2]:
-                    taken = 1
-                    next_pc = imm
-            elif op == Op.BLT:
-                kind = 1
                 target = imm
                 if regs[rs1] < regs[rs2]:
                     taken = 1
                     next_pc = imm
-            elif op == Op.BGE:
+            elif op == BEQ:
                 kind = 1
                 target = imm
-                if regs[rs1] >= regs[rs2]:
+                if regs[rs1] == regs[rs2]:
                     taken = 1
                     next_pc = imm
-            elif op == Op.SUB:
-                regs[rd] = regs[rs1] - regs[rs2]
-            elif op == Op.AND:
-                regs[rd] = int(regs[rs1]) & int(regs[rs2])
-            elif op == Op.OR:
-                regs[rd] = int(regs[rs1]) | int(regs[rs2])
-            elif op == Op.XOR:
-                regs[rd] = int(regs[rs1]) ^ int(regs[rs2])
-            elif op == Op.SLT:
-                regs[rd] = 1 if regs[rs1] < regs[rs2] else 0
-            elif op == Op.MUL:
+            elif op == XORI:
+                regs[rd] = int(regs[rs1]) ^ imm
+            elif op == MUL:
                 regs[rd] = (regs[rs1] * regs[rs2]) & _WORD_MASK \
                     if isinstance(regs[rs1], int) and isinstance(regs[rs2], int) \
                     else regs[rs1] * regs[rs2]
-            elif op == Op.DIV:
-                divisor = regs[rs2]
-                regs[rd] = 0 if divisor == 0 else int(regs[rs1] / divisor)
-            elif op == Op.MOD:
-                divisor = int(regs[rs2])
-                regs[rd] = 0 if divisor == 0 else int(regs[rs1]) % divisor
-            elif op == Op.FADD:
-                regs[rd] = float(regs[rs1]) + float(regs[rs2])
-            elif op == Op.FSUB:
-                regs[rd] = float(regs[rs1]) - float(regs[rs2])
-            elif op == Op.FMUL:
-                regs[rd] = float(regs[rs1]) * float(regs[rs2])
-            elif op == Op.FDIV:
-                divisor = float(regs[rs2])
-                regs[rd] = 0.0 if divisor == 0.0 else float(regs[rs1]) / divisor
-            elif op == Op.SHL:
-                regs[rd] = (int(regs[rs1]) << (int(regs[rs2]) & 63)) & _WORD_MASK
-            elif op == Op.SHR:
-                regs[rd] = int(regs[rs1]) >> (int(regs[rs2]) & 63)
-            elif op == Op.SHLI:
-                regs[rd] = (int(regs[rs1]) << (imm & 63)) & _WORD_MASK
-            elif op == Op.SHRI:
-                regs[rd] = int(regs[rs1]) >> (imm & 63)
-            elif op == Op.ANDI:
-                regs[rd] = int(regs[rs1]) & imm
-            elif op == Op.XORI:
-                regs[rd] = int(regs[rs1]) ^ imm
-            elif op == Op.JMP:
-                kind = 2  # UNCOND_DIRECT
-                taken = 1
-                target = imm
-                next_pc = imm
-            elif op == Op.CALL:
-                kind = 3  # CALL_DIRECT
-                taken = 1
-                target = imm
-                if len(call_stack) >= self.call_stack_limit:
-                    raise VMError("guest call stack overflow")
-                call_stack.append(pc + ibytes)
-                next_pc = imm
-            elif op == Op.CALLR:
-                kind = 4  # CALL_INDIRECT
-                taken = 1
-                target = int(regs[rs1])
-                if len(call_stack) >= self.call_stack_limit:
-                    raise VMError("guest call stack overflow")
-                call_stack.append(pc + ibytes)
-                next_pc = target
-            elif op == Op.RET:
+            elif op == RET:
                 kind = 5  # RETURN
                 taken = 1
                 if not call_stack:
                     raise VMError("return with empty call stack")
                 target = call_stack.pop()
                 next_pc = target
-            elif op == Op.JR:
+            elif op == CALLR:
+                kind = 4  # CALL_INDIRECT
+                taken = 1
+                target = int(regs[rs1])
+                if len(call_stack) >= call_stack_limit:
+                    raise VMError("guest call stack overflow")
+                call_stack.append(pc + ibytes)
+                next_pc = target
+            elif op == JMP:
+                kind = 2  # UNCOND_DIRECT
+                taken = 1
+                target = imm
+                next_pc = imm
+            elif op == STORE:
+                mem_addr = int(regs[rs1]) + imm
+                memory[mem_addr] = regs[rs2]
+            elif op == BGE:
+                kind = 1
+                target = imm
+                if regs[rs1] >= regs[rs2]:
+                    taken = 1
+                    next_pc = imm
+            elif op == JR:
                 kind = 6  # IND_JUMP
                 taken = 1
                 target = int(regs[rs1])
                 next_pc = target
-            elif op == Op.HALT:
+            elif op == SLT:
+                regs[rd] = 1 if regs[rs1] < regs[rs2] else 0
+            elif op == CALL:
+                kind = 3  # CALL_DIRECT
+                taken = 1
+                target = imm
+                if len(call_stack) >= call_stack_limit:
+                    raise VMError("guest call stack overflow")
+                call_stack.append(pc + ibytes)
+                next_pc = imm
+            elif op == BNE:
+                kind = 1
+                target = imm
+                if regs[rs1] != regs[rs2]:
+                    taken = 1
+                    next_pc = imm
+            elif op == FADD:
+                regs[rd] = float(regs[rs1]) + float(regs[rs2])
+            elif op == FMUL:
+                regs[rd] = float(regs[rs1]) * float(regs[rs2])
+            elif op == XOR:
+                regs[rd] = int(regs[rs1]) ^ int(regs[rs2])
+            elif op == OR:
+                regs[rd] = int(regs[rs1]) | int(regs[rs2])
+            elif op == MOD:
+                divisor = int(regs[rs2])
+                regs[rd] = 0 if divisor == 0 else int(regs[rs1]) % divisor
+            elif op == SUB:
+                regs[rd] = regs[rs1] - regs[rs2]
+            elif op == AND:
+                regs[rd] = int(regs[rs1]) & int(regs[rs2])
+            elif op == DIV:
+                divisor = regs[rs2]
+                regs[rd] = 0 if divisor == 0 else int(regs[rs1] / divisor)
+            elif op == FSUB:
+                regs[rd] = float(regs[rs1]) - float(regs[rs2])
+            elif op == FDIV:
+                divisor = float(regs[rs2])
+                regs[rd] = 0.0 if divisor == 0.0 else float(regs[rs1]) / divisor
+            elif op == SHL:
+                regs[rd] = (int(regs[rs1]) << (int(regs[rs2]) & 63)) & _WORD_MASK
+            elif op == SHR:
+                regs[rd] = int(regs[rs1]) >> (int(regs[rs2]) & 63)
+            elif op == HALT:
                 trace.halted = True
                 break
             else:  # pragma: no cover - exhaustive above
@@ -273,7 +329,7 @@ class VM:
             regs[0] = 0  # r0 is hard-wired to zero
 
             pc_list.append(pc)
-            cls_list.append(int(ins.instr_class))
+            cls_list.append(op_class[op])
             kind_list.append(kind)
             taken_list.append(taken)
             target_list.append(target)
@@ -284,10 +340,7 @@ class VM:
 
             pc = next_pc
             remaining -= 1
-
-        self.pc = pc
-        self.retired = self.max_instructions - remaining
-        return trace
+        return pc, remaining, stop_visits
 
 
 def run_program(program: GuestProgram, max_instructions: int = 1_000_000) -> RawTrace:

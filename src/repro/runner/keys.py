@@ -26,9 +26,9 @@ import json
 from enum import Enum
 from functools import lru_cache
 from pathlib import Path
-from typing import Any, Tuple
+from typing import Any, Optional, Tuple
 
-from repro.predictors import EngineConfig
+from repro.predictors import EngineConfig, Spec
 from repro.workloads import trace_fingerprint
 
 
@@ -142,12 +142,14 @@ CELL_KEY_VERSION = 2
 
 
 def cell_key(benchmark: str, config: EngineConfig, trace_length: int,
-             seed: int) -> str:
+             seed: int, *, spec: Optional[Spec] = None) -> str:
     """Result-cache key for one ``(benchmark, config)`` sweep cell.
 
     The config enters as its spec (:meth:`EngineConfig.to_spec`): two
     configs collide exactly when their specs are equal, which is also the
     condition under which the registry builds identical predictors.
+    ``spec``, when given, must be ``config.to_spec()`` already rendered:
+    a caller keying one config for many benchmarks renders it once.
 
     Deliberately independent of any machine: a timed cell shares its
     stats entry with the untimed one and adds only a cycle count under
@@ -158,7 +160,7 @@ def cell_key(benchmark: str, config: EngineConfig, trace_length: int,
             "version": CELL_KEY_VERSION,
             "trace": trace_fingerprint(benchmark, trace_length, seed),
             "engine_code": engine_code_fingerprint(),
-            "spec": config.to_spec(),
+            "spec": config.to_spec() if spec is None else spec,
         },
         sort_keys=True, separators=(",", ":"),
     )
@@ -166,18 +168,21 @@ def cell_key(benchmark: str, config: EngineConfig, trace_length: int,
 
 
 def timing_key(benchmark: str, config: EngineConfig, trace_length: int,
-               seed: int, machine: Any) -> str:
+               seed: int, machine: Any, *,
+               spec: Optional[Spec] = None) -> str:
     """Result-cache key for one cell's *cycle count* on a machine.
 
     Builds on :func:`cell_key` (which already covers the trace and the
     predictor side) and adds the :class:`~repro.pipeline.MachineConfig`
     plus a hash of the pipeline-model sources, so editing the timing model
     or changing any machine parameter invalidates cached cycle counts
-    without touching the prediction entries.
+    without touching the prediction entries.  ``spec`` is passed on to
+    :func:`cell_key`.
     """
     payload = json.dumps(
         {
-            "cell": cell_key(benchmark, config, trace_length, seed),
+            "cell": cell_key(benchmark, config, trace_length, seed,
+                             spec=spec),
             "timing_code": timing_code_fingerprint(),
             "machine": config_token(machine),
         },

@@ -75,6 +75,7 @@ from repro.predictors import (
     DecodedBranches,
     EngineConfig,
     PredictionStats,
+    Spec,
     StreamConfig,
     build_streams,
     decode_branches,
@@ -392,6 +393,11 @@ def run_cells(cells: Sequence[SweepCell], jobs: Optional[int] = None, *,
         unique.setdefault(
             (cell.benchmark, cell.config, repr(cell.machine)), []
         ).append(index)
+    # Each config's spec is rendered once for all the benchmarks that
+    # share it.  Memoised by identity, not equality: equal configs can
+    # render different specs (a field holding True or 1, 0.0 or -0.0),
+    # and every key must stay exactly cell_key's.
+    specs: Dict[int, Spec] = {}
     results: List[Optional[PredictionStats]] = [None] * len(cells)
     # (cell to compute, result indices, key to store stats under, key to
     # store cycles under, cycles the cache already had)
@@ -404,13 +410,18 @@ def run_cells(cells: Sequence[SweepCell], jobs: Optional[int] = None, *,
         key: Optional[str] = None
         cycles_key: Optional[str] = None
         if result_cache is not None:
-            key = cell_key(cell.benchmark, cell.config, trace_length, seed)
+            spec = specs.get(id(cell.config))
+            if spec is None:
+                spec = specs[id(cell.config)] = cell.config.to_spec()
+            key = cell_key(cell.benchmark, cell.config, trace_length, seed,
+                           spec=spec)
             stats = result_cache.load(key)
             sink.incr("runner.cell_cache.hit" if stats is not None
                       else "runner.cell_cache.miss")
             if cell.machine is not None:
                 cycles_key = timing_key(cell.benchmark, cell.config,
-                                        trace_length, seed, cell.machine)
+                                        trace_length, seed, cell.machine,
+                                        spec=spec)
                 cycles = result_cache.load_cycles(cycles_key)
         if stats is not None and (cell.machine is None or cycles is not None):
             hit = stats if cycles is None else _timed(stats, cycles)

@@ -118,6 +118,65 @@ def test_unique_label_never_collides():
     assert first != second
 
 
+def test_unique_label_repeats_until_the_label_is_defined():
+    b = ProgramBuilder()
+    assert b.unique_label("work") == "work_0"
+    assert b.unique_label("work") == "work_0"
+    b.label("work_0")
+    assert b.unique_label("work") == "work_1"
+
+
+def test_unique_label_skips_hand_defined_names():
+    b = ProgramBuilder()
+    b.label("work_1")
+    b.label("work_3")
+    names = []
+    for _ in range(3):
+        names.append(b.unique_label("work"))
+        b.label(names[-1])
+    assert names == ["work_0", "work_2", "work_4"]
+
+
+def test_unique_label_stems_are_independent():
+    b = ProgramBuilder()
+    names = []
+    for stem in ["pad", "sw", "pad", "pad_0", "sw", "pad"]:
+        names.append(b.unique_label(stem))
+        b.label(names[-1])
+    assert names == ["pad_0", "sw_0", "pad_1", "pad_0_0", "sw_1", "pad_2"]
+
+
+def _linear_probe(labels, stem):
+    """The reference allocation: the smallest free index, probed from 0."""
+    index = 0
+    while f"{stem}_{index}" in labels:
+        index += 1
+    return f"{stem}_{index}"
+
+
+def test_unique_label_matches_the_linear_probe_on_random_sequences():
+    import random
+
+    rng = random.Random(1997)
+    for _ in range(20):
+        b = ProgramBuilder()
+        defined = set()
+        for _ in range(300):
+            stem = rng.choice(["a", "b", "a_1"])
+            if rng.random() < 0.1:
+                # A hand-picked name that may sit ahead of the cursor.
+                name = f"{stem}_{rng.randrange(40)}"
+                if name not in defined:
+                    b.label(name)
+                    defined.add(name)
+                continue
+            name = b.unique_label(stem)
+            assert name == _linear_probe(defined, stem)
+            if rng.random() < 0.7:
+                b.label(name)
+                defined.add(name)
+
+
 def test_register_validation_on_emit():
     b = ProgramBuilder()
     with pytest.raises(ValueError):

@@ -77,6 +77,22 @@ class TestKeyInvalidation:
         monkeypatch.setenv("REPRO_JOBS", "7")
         assert key() == before
 
+    def test_a_pre_rendered_spec_gives_the_same_key(self):
+        config = EngineConfig(target_cache=TargetCacheConfig(kind="tagless"))
+        assert cell_key("perl", config, LENGTH, SEED,
+                        spec=config.to_spec()) == key(config=config)
+        machine = MachineConfig()
+        assert timing_key("perl", config, LENGTH, SEED, machine,
+                          spec=config.to_spec()) == \
+            timing_key("perl", config, LENGTH, SEED, machine)
+
+    def test_equal_configs_can_render_different_keys(self):
+        # Why run_cells memoises rendered specs by identity, not equality.
+        a = EngineConfig(target_cache_handles_returns=True)
+        b = EngineConfig(target_cache_handles_returns=1)
+        assert a == b and hash(a) == hash(b)
+        assert key(config=a) != key(config=b)
+
     def test_key_is_deterministic_across_calls(self):
         assert key() == key()
 
@@ -198,6 +214,36 @@ class TestCacheBehaviourInRunCells:
             _assert_same_counters(one, two)
             assert getattr(one, "cycles", None) == getattr(two, "cycles", None)
         assert second[0].cycles > 0
+
+    def test_keys_of_a_multi_benchmark_document_are_cell_keys(
+            self, tmp_path, monkeypatch):
+        from repro.sweepspec import parse_spec_document
+
+        plan = parse_spec_document({
+            "benchmarks": ["perl", "gcc", "compress"],
+            "cells": [{"preset": "btb-only"},
+                      {"engine": {"target_cache": {"kind": "tagless"}}}],
+        })
+        machine = MachineConfig()
+        cells = [SweepCell(b, c) for b, c in plan.cells()] + [
+            SweepCell(b, c, machine) for b, c in plan.cells()[:2]]
+        cache = ResultCache(tmp_path)
+        asked = []
+        for name in ("load", "load_cycles"):
+            real = getattr(cache, name)
+            monkeypatch.setattr(
+                cache, name,
+                lambda key, __real=real, __name=name: (
+                    asked.append((__name, key)), __real(key))[1])
+        run_cells(cells, jobs=1, trace_length=5_000, result_cache=cache)
+        # Each config is rendered once for its three benchmarks; every key
+        # must still be exactly what cell_key and timing_key return.
+        expected = [("load", cell_key(b, c, 5_000, SEED))
+                    for b, c in plan.cells()]
+        expected += [("load_cycles", timing_key(b, c, 5_000, SEED, machine))
+                     for b, c in plan.cells()[:2]]
+        assert sorted(set(asked)) == sorted(set(expected))
+        assert len(set(asked)) == len(plan.cells()) + 2
 
     def test_timed_cells_store_no_mask(self, tmp_path):
         cache = ResultCache(tmp_path / "results")
